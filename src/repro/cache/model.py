@@ -522,6 +522,9 @@ class CostModel:
     lam: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, value in (("mu", self.mu), ("lam", self.lam)):
+            if not math.isfinite(value):
+                raise ValueError(f"cost rate {name} must be finite, got {value!r}")
         if self.mu < 0 or self.lam < 0:
             raise ValueError("cost rates must be non-negative")
         if self.mu == 0 and self.lam == 0:

@@ -221,8 +221,10 @@ def _telemetry_session(
 def _resilience_from_args(args: argparse.Namespace):
     """Build a :class:`ResilienceConfig` when any resilience flag is set.
 
-    Leaving all three flags at their defaults keeps the classic
-    non-resilient dispatch path (returns ``None``).
+    Leaving all three flags at their defaults returns ``None``: a plain
+    solve then runs each unit once with fault injection off
+    (:data:`~repro.engine.resilience.NO_RESILIENCE`), while a sharded
+    solve keeps its stock retrying config.
     """
     if (
         args.unit_timeout is None
@@ -698,27 +700,26 @@ def _solve_trace(args: argparse.Namespace) -> int:
     opt = solve_optimal_nonpacking(seq, model)
     pkg = solve_package_served(seq, model, theta=args.theta, alpha=args.alpha)
     print(f"packages: {[sorted(p) for p in dpg.plan.packages]}")
-    if dpg.engine_stats is not None:
-        es = dpg.engine_stats
+    es = dpg.engine_stats
+    print(
+        f"engine: {es.pool} pool, {es.workers} worker(s), "
+        f"{es.memo_hits}/{es.memo_hits + es.memo_misses} memo hits"
+    )
+    if es.batches:
         print(
-            f"engine: {es.pool} pool, {es.workers} worker(s), "
-            f"{es.memo_hits}/{es.memo_hits + es.memo_misses} memo hits"
+            f"batched: {es.batches} bucket(s), "
+            f"pad waste {es.pad_waste:.1%}"
         )
-        if es.batches:
-            print(
-                f"batched: {es.batches} bucket(s), "
-                f"pad waste {es.pad_waste:.1%}"
-            )
-        if es.shards:
-            print(f"sharded: {es.shards} shard(s) over {es.units} unit(s)")
-        if es.retries or es.timeouts or es.pool_fallbacks or es.units_failed:
-            print(
-                f"resilience: {es.retries} retr(y/ies), {es.timeouts} "
-                f"timeout(s), {es.pool_fallbacks} pool fallback(s), "
-                f"{es.units_failed} unit(s) skipped"
-            )
-        if es.stalls:
-            print(f"watchdog: {es.stalls} stall(s) flagged")
+    if es.shards:
+        print(f"sharded: {es.shards} shard(s) over {es.units} unit(s)")
+    if es.retries or es.timeouts or es.pool_fallbacks or es.units_failed:
+        print(
+            f"resilience: {es.retries} retr(y/ies), {es.timeouts} "
+            f"timeout(s), {es.pool_fallbacks} pool fallback(s), "
+            f"{es.units_failed} unit(s) skipped"
+        )
+    if es.stalls:
+        print(f"watchdog: {es.stalls} stall(s) flagged")
     print()
     print(format_table([
         {"algorithm": "DP_Greedy", "total_cost": dpg.total_cost,

@@ -32,7 +32,6 @@ The reported metric is ``ave_cost`` -- the total cost divided by
 
 from __future__ import annotations
 
-import time as _time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -113,10 +112,9 @@ class GroupReport:
 class DPGreedyResult:
     """Full outcome of DP_Greedy on a request sequence.
 
-    ``engine_stats`` is populated only when Phase 2 ran through the
-    parallel execution engine (``parallel=``/``workers=``/``memo=`` of
-    :func:`solve_dp_greedy`); it records pool choice, worker count, and
-    memo hit/miss counters for observability.
+    ``engine_stats`` records how Phase 2 was dispatched (pool choice,
+    worker count, memo hit/miss and retry counters); every solve through
+    :func:`solve_dp_greedy` or the sharded driver fills it in.
     """
 
     plan: PackingPlan
@@ -126,7 +124,7 @@ class DPGreedyResult:
     denominator: int
     theta: float
     alpha: float
-    engine_stats: Optional[object] = None  # repro.engine.parallel.EngineStats
+    engine_stats: object  # repro.engine.parallel.EngineStats
 
     @property
     def ave_cost(self) -> float:
@@ -430,16 +428,16 @@ def solve_dp_greedy(
         study, which plans on a *predicted* trajectory and serves the
         true one).  The plan's items must cover exactly ``seq``'s items.
     parallel / workers / memo / pool:
-        Opt-in to the Phase-2 execution engine
-        (:func:`repro.engine.parallel.serve_plan`).  ``parallel=True``
-        auto-detects the pool from the workload; ``workers`` pins the
-        pool width (``workers=1`` reproduces the serial loop
-        bit-for-bit); ``memo`` is a
+        Phase-2 execution engine knobs
+        (:func:`repro.engine.parallel.serve_plan`, which every solve
+        goes through).  ``parallel=True`` auto-detects the pool from the
+        workload; ``workers`` pins the pool width; ``memo`` is a
         :class:`~repro.engine.memo.SolverMemo` shared across calls (or
         ``True`` for the process-wide default memo); ``pool`` forces a
         backend (``"serial"``/``"thread"``/``"process"``) instead of the
-        size heuristic.  With all four at their defaults the classic
-        serial path runs untouched.
+        size heuristic.  When none of these, ``resilience``, or a
+        batching ``dp_backend`` is set, Phase 2 runs on one worker in
+        the parent, unit after unit in plan order.
     obs:
         Optional :class:`~repro.obs.RunObservation`.  When given, Phase-1
         and Phase-2 wall times are accumulated in ``obs.timers``, every
@@ -464,8 +462,9 @@ def solve_dp_greedy(
         backoff, pool degradation on broken process pools, an
         ``on_unit_error`` policy (``raise``/``degrade``/``skip``), and
         deterministic fault injection via the ``REPRO_CHAOS`` knob or an
-        explicit :class:`~repro.engine.chaos.FaultPlan`.  Implies the
-        execution engine; retry/timeout/fallback counters surface on
+        explicit :class:`~repro.engine.chaos.FaultPlan`.  Without it
+        each unit runs once, ``REPRO_CHAOS`` is ignored, and the first
+        failure raises.  Retry/timeout/fallback counters surface on
         ``engine_stats`` and (with ``obs=``) as ``engine.*`` metrics
         counters.
     dp_backend:
@@ -478,23 +477,22 @@ def solve_dp_greedy(
         when numba is unavailable --, or ``"auto"``, which picks
         compiled -> batched -> sparse by availability and unit count
         once the packing fixes how many serving units there are.
-        ``"batched"``/``"compiled"``/``"auto"`` imply the execution
-        engine, whose scheduler buckets memo-miss units by length and
-        solves whole buckets per dispatch; all backends produce
-        bit-identical costs.
+        Under ``"batched"``/``"compiled"``/``"auto"`` the engine's
+        scheduler buckets memo-miss units by length and solves whole
+        buckets per dispatch; all backends produce bit-identical costs.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` hub (``None``
         picks up any process-wide hub installed via
         :func:`repro.obs.telemetry.install`, e.g. by the CLI's
         ``--progress``/``--prom`` flags).  Per-unit Phase-2 solve
         latencies land in its log-bucket histograms (p50/p90/p99 in
-        METRICS v3), unit completions in its progress board, and -- on
-        the engine paths -- pool workers ship resource peaks back.  An
+        METRICS v3), unit completions in its progress board, and
+        process-pool workers ship resource peaks back.  An
         un-started hub is started for the duration of this solve; a
         started one is left running.  Strictly observation-only: costs,
         plans, and reports are bit-identical with or without it.
     """
-    from ..obs.telemetry import H_SOLVE, active as _active_telemetry
+    from ..obs.telemetry import active as _active_telemetry
 
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -520,7 +518,6 @@ def solve_dp_greedy(
             workers=workers, memo=memo, pool=pool, obs=obs, tracer=tracer,
             resilience=resilience, dp_backend=dp_backend, tele=tele,
             observe=observe, timed=timed, span_mark=span_mark,
-            h_solve=H_SOLVE,
         )
     finally:
         if tele_owned:
@@ -530,7 +527,7 @@ def solve_dp_greedy(
 def _solve_dp_greedy_observed(
     seq, model, *, theta, alpha, packing, max_group_size, similarity,
     build_schedules, plan, parallel, workers, memo, pool, obs, tracer,
-    resilience, dp_backend, tele, observe, timed, span_mark, h_solve,
+    resilience, dp_backend, tele, observe, timed, span_mark,
 ) -> DPGreedyResult:
     """The body of :func:`solve_dp_greedy`, inside the telemetry window."""
     with timed("phase1.similarity"), maybe_span(
@@ -558,104 +555,44 @@ def _solve_dp_greedy_observed(
         obs.counters.absorb(stats.join_counters(theta), prefix="phase1.")
         obs.counters.set("phase1.similarity_backend", similarity)
 
-    engine_stats = None
-    memo_obj = None
-    use_engine = (
+    from ..engine.memo import SolverMemo, get_default_memo
+    from ..engine.parallel import serve_plan
+
+    if memo is True:
+        memo_obj = get_default_memo()
+    elif memo in (None, False):
+        memo_obj = None
+    elif isinstance(memo, SolverMemo):
+        memo_obj = memo
+    else:
+        raise TypeError("memo must be a SolverMemo, True, False, or None")
+    # a call that asks for no engine feature runs on one worker, in-parent
+    engine_opted_in = (
         parallel
         or workers is not None
         or pool is not None
-        or memo not in (None, False)
+        or memo_obj is not None
         or resilience not in (None, False)
         or dp_backend in ("batched", "compiled", "auto")
     )
-    if use_engine:
-        from ..engine.memo import SolverMemo, get_default_memo
-        from ..engine.parallel import serve_plan
+    with timed("phase2.serve"), maybe_span(tracer, "phase2.serve", cat="phase2"):
+        reports, engine_stats = serve_plan(
+            seq,
+            plan,
+            model,
+            alpha,
+            workers=workers if engine_opted_in else 1,
+            memo=memo_obj,
+            build_schedules=build_schedules,
+            pool=pool,
+            attribute=observe,
+            tracer=tracer,
+            resilience=resilience,
+            dp_backend=dp_backend,
+            telemetry=tele,
+        )
 
-        if memo is True:
-            memo_obj = get_default_memo()
-        elif memo in (None, False):
-            memo_obj = None
-        elif isinstance(memo, SolverMemo):
-            memo_obj = memo
-        else:
-            raise TypeError("memo must be a SolverMemo, True, False, or None")
-        with timed("phase2.serve"), maybe_span(
-            tracer, "phase2.serve", cat="phase2", engine="pool"
-        ):
-            reports, engine_stats = serve_plan(
-                seq,
-                plan,
-                model,
-                alpha,
-                workers=workers,
-                memo=memo_obj,
-                build_schedules=build_schedules,
-                pool=pool,
-                attribute=observe,
-                tracer=tracer,
-                resilience=resilience,
-                dp_backend=dp_backend,
-                telemetry=tele,
-            )
-    else:
-        reports = []
-        if tele is not None:
-            tele.board.begin(len(plan.packages) + len(plan.singletons))
-        with maybe_span(tracer, "phase2.serve", cat="phase2", engine="serial"):
-            for pkg in plan.packages:
-                label = "pkg(" + ",".join(str(d) for d in sorted(pkg)) + ")"
-                if tele is not None:
-                    tele.board.unit_started(label)
-                    t0 = _time.perf_counter()
-                with timed("phase2.serve"), maybe_span(
-                    tracer,
-                    "phase2.solve",
-                    cat="phase2",
-                    unit=label,
-                    kind="package",
-                ):
-                    reports.append(
-                        serve_package(
-                            seq,
-                            pkg,
-                            model,
-                            alpha,
-                            build_schedule=build_schedules,
-                            attribute=observe,
-                            dp_backend=dp_backend,
-                        )
-                    )
-                if tele is not None:
-                    tele.record(h_solve, _time.perf_counter() - t0)
-                    tele.board.unit_finished(label)
-            for d in plan.singletons:
-                label = f"item({d})"
-                if tele is not None:
-                    tele.board.unit_started(label)
-                    t0 = _time.perf_counter()
-                with timed("phase2.serve"), maybe_span(
-                    tracer,
-                    "phase2.solve",
-                    cat="phase2",
-                    unit=label,
-                    kind="singleton",
-                ):
-                    reports.append(
-                        serve_singleton(
-                            seq,
-                            d,
-                            model,
-                            build_schedule=build_schedules,
-                            attribute=observe,
-                            dp_backend=dp_backend,
-                        )
-                    )
-                if tele is not None:
-                    tele.record(h_solve, _time.perf_counter() - t0)
-                    tele.board.unit_finished(label)
-
-    total = sum(r.total for r in reports)
+    total = sum((r.total for r in reports), 0.0)
     if observe:
         obs.finalize(
             seq,

@@ -2,10 +2,12 @@
 
 Phase 2 of DP_Greedy serves every *serving unit* (package or singleton)
 over its own disjoint sub-sequence -- the units share no state, so the
-phase is embarrassingly parallel by construction.  This module fans the
-units of a :class:`~repro.correlation.packing.PackingPlan` out over a
-``concurrent.futures`` pool and funnels repeated sub-problems through the
-content-addressed :class:`~repro.engine.memo.SolverMemo`.
+phase is embarrassingly parallel by construction.  This module plans the
+units of a :class:`~repro.correlation.packing.PackingPlan`, funnels
+repeated sub-problems through the content-addressed
+:class:`~repro.engine.memo.SolverMemo`, and hands the misses to
+:func:`~repro.engine.resilience.dispatch_resilient` -- the only route
+Phase-2 units take, whether the pool is serial, threads, or processes.
 
 Pool selection heuristic
 ------------------------
@@ -14,9 +16,9 @@ requests carried by un-memoised units and picks the cheapest adequate
 backend:
 
 * ``workers=1`` (or a workload below :data:`AUTO_SERIAL_NODES` under
-  auto-detection) runs the exact same ``serve_package`` /
-  ``serve_singleton`` calls, in the same order, as the classic serial
-  loop -- bit-for-bit identical output;
+  auto-detection) runs the ``serve_package`` / ``serve_singleton`` calls
+  in the parent, one after another in plan order (the dispatcher's
+  serial rung);
 * a *thread* pool is used for mid-size workloads (cheap to spin up; the
   solvers release no GIL, so this mainly overlaps the numpy portions);
 * a *process* pool (fork when available) takes over above
@@ -25,10 +27,10 @@ backend:
 
 Determinism guarantee
 ---------------------
-Results are collected with order-preserving ``Executor.map`` and every
-serve function is pure, so the report list is identical -- including
-float bit patterns -- across serial, thread, and process execution, and
-across any ``workers`` value.  Memoisation preserves this too: a memo
+Every serve function is pure and results are collected by unit index,
+so the report list is identical -- including float bit patterns --
+across serial, thread, and process execution, and across any
+``workers`` value.  Memoisation preserves this too: a memo
 hit returns the exact float the solver produced when the entry was
 stored, and the miss path stores whatever the real solver returned.
 
@@ -50,7 +52,7 @@ import os
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cache import compiled_dp
 from ..cache.batched_dp import batched_optimal_costs, length_buckets, pad_waste
@@ -63,7 +65,7 @@ from ..cache.model import (
 from ..correlation.packing import PackingPlan
 from ..core.dp_greedy import GroupReport, serve_package, serve_singleton
 from ..obs import telemetry as _telemetry
-from ..obs.telemetry import Telemetry, UnitRecorder
+from ..obs.telemetry import Telemetry
 from ..obs.tracing import Tracer, maybe_span
 from .memo import SolverMemo, fingerprint_view
 
@@ -100,9 +102,9 @@ class EngineStats:
     """Observability record of one :func:`serve_plan` call.
 
     The retry/timeout/fallback/failed counters are produced by the
-    resilient dispatch layer (:mod:`repro.engine.resilience`) and stay
-    zero on the classic path; ``pool`` always records the backend the
-    heuristic *picked* -- pool degradation is visible through
+    dispatch layer (:mod:`repro.engine.resilience`) and stay zero unless
+    the solve opted into retries; ``pool`` always records the backend
+    the heuristic *picked* -- pool degradation is visible through
     ``pool_fallbacks``.  ``batches``/``pad_waste`` are produced by the
     batched scheduler (``dp_backend="batched"`` or ``"compiled"``):
     bucket count dispatched through the kernel and the padded-slot
@@ -182,7 +184,7 @@ class ShardResult:
 
 
 def _plan_units(plan: PackingPlan) -> List[_UnitSpec]:
-    """Serving units in the classic serial order: packages, then singletons."""
+    """Serving units in plan order: packages, then singletons."""
     units: List[_UnitSpec] = [
         ("package", tuple(sorted(pkg))) for pkg in plan.packages
     ]
@@ -385,65 +387,6 @@ def _init_worker(
     _telemetry.install(None)
 
 
-def _serve_unit_in_worker(spec: _UnitSpec) -> "GroupReport | BatchResult":
-    seq, model, alpha, build_schedules, attribute, dp_backend, _ = _WORKER_ARGS
-    return _serve_unit(
-        seq, spec, model, alpha, build_schedules, attribute, dp_backend
-    )
-
-
-def _serve_unit_in_worker_telemetry(spec: _UnitSpec):
-    """Telemetry variant: returns ``(report, WorkerUnitStats)``.
-
-    The worker times the solve into a local :class:`UnitRecorder` and
-    ships the latency entries plus its own ``getrusage`` peaks back with
-    the result for the parent hub to absorb."""
-    seq, model, alpha, build_schedules, attribute, dp_backend, _ = _WORKER_ARGS
-    recorder = UnitRecorder()
-    report = _serve_unit(
-        seq, spec, model, alpha, build_schedules, attribute, dp_backend,
-        recorder=recorder,
-    )
-    return report, recorder.unit_stats()
-
-
-def _serve_unit_in_worker_traced(spec: _UnitSpec):
-    """Traced variant: returns ``(report, spans, stats_or_None)``.
-
-    The worker records the solve into its process-local tracer and ships
-    the new records back with the result; their wall-anchored timestamps
-    and real pid/tid merge directly into the parent trace (see
-    :mod:`repro.obs.tracing` for the clock model).  With telemetry also
-    enabled the third element carries the :class:`WorkerUnitStats`.
-    """
-    (seq, model, alpha, build_schedules, attribute, dp_backend,
-     telemetry) = _WORKER_ARGS
-    recorder = UnitRecorder() if telemetry else None
-    tracer = _WORKER_TRACER
-    if tracer is None:  # pragma: no cover - defensive; init always ran
-        return (
-            _serve_unit(
-                seq, spec, model, alpha, build_schedules, attribute,
-                dp_backend, recorder=recorder,
-            ),
-            (),
-            recorder.unit_stats() if recorder is not None else None,
-        )
-    mark = tracer.mark()
-    with tracer.span(
-        "phase2.solve", cat="phase2", unit=_unit_label(spec), kind=spec[0]
-    ):
-        report = _serve_unit(
-            seq, spec, model, alpha, build_schedules, attribute, dp_backend,
-            recorder=recorder,
-        )
-    return (
-        report,
-        tracer.records(since=mark),
-        recorder.unit_stats() if recorder is not None else None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # parent-side memo integration
 # ---------------------------------------------------------------------------
@@ -605,14 +548,18 @@ def serve_plan(
     dp_backend: str = "sparse",
     telemetry: Optional[Telemetry] = None,
 ) -> Tuple[List[GroupReport], EngineStats]:
-    """Serve every unit of ``plan``; return reports in serial order.
+    """Serve every unit of ``plan``; return reports in plan order.
+
+    Memo hits are served in the parent; every other unit goes through
+    :func:`~repro.engine.resilience.dispatch_resilient`.
 
     Parameters
     ----------
     workers:
-        ``1`` forces the classic serial loop (bit-for-bit identical to
-        the pre-engine path); ``None`` auto-detects from the workload
-        size and CPU count; any other value caps the pool width.
+        ``1`` runs the units one after another in the parent (the
+        dispatcher's serial rung); ``None`` auto-detects from the
+        workload size and CPU count; any other value caps the pool
+        width.
     memo:
         Optional :class:`SolverMemo`.  Hits are served in the parent;
         only misses are dispatched, and their DP costs are stored back.
@@ -636,12 +583,13 @@ def serve_plan(
     resilience:
         Opt-in fault tolerance: a
         :class:`~repro.engine.resilience.ResilienceConfig` (or ``True``
-        for the defaults) replaces the bare ``Executor.map`` consumption
-        with per-unit futures carrying timeouts, bounded retry with
+        for the defaults) adds per-unit timeouts, bounded retry with
         backoff, pool degradation (process → thread → serial on broken
         pools, re-dispatching only unfinished units), and optional
         deterministic fault injection.  ``None``/``False`` (default)
-        keeps the classic dispatch path byte-for-byte.
+        means :data:`~repro.engine.resilience.NO_RESILIENCE`: each unit
+        runs once, ``REPRO_CHAOS`` is ignored, and the first unit
+        failure or broken pool raises.
     dp_backend:
         Per-unit solver backend (``"sparse"``/``"dense"``/``"batched"``/
         ``"compiled"``/``"auto"``).  ``"compiled"`` runs the numba-JIT
@@ -661,7 +609,7 @@ def serve_plan(
         buckets through the same pool/resilience machinery as one
         ``("batch", ...)`` spec each, and unpacks the kernel's costs
         back into per-unit reports in the parent; memoisation stores the
-        per-unit costs exactly as on the classic path.  With schedules
+        per-unit costs exactly as the per-unit solves would.  With schedules
         or attribution requested the batch scheduler stands down and
         every unit solves individually through
         ``solve_optimal(backend="batched")`` (the kernel is cost-only).
@@ -675,11 +623,11 @@ def serve_plan(
         :meth:`~repro.obs.telemetry.Telemetry.absorb_worker`.  Strictly
         observation-only: reports are bit-identical with or without it.
     """
-    from .resilience import ResilienceConfig
+    from .resilience import ResilienceConfig, dispatch_resilient
 
     if dp_backend not in _DP_BACKENDS:
         raise ValueError(f"unknown DP backend {dp_backend!r}")
-    resil = ResilienceConfig.coerce(resilience)
+    config = ResilienceConfig.coerce(resilience)
     units = _plan_units(plan)
     n_packages = len(plan.packages)
     use_memo = memo is not None and not build_schedules
@@ -749,134 +697,30 @@ def serve_plan(
         workers, pending_nodes, len(dispatch_specs), pool
     )
 
-    tele = telemetry
-    stalls_before = tele.board.stalls if tele is not None else 0
-    if tele is not None and dispatch_specs and resil is None:
-        # the resilient dispatcher announces its own units (it is also
-        # entered directly by the sharded driver)
-        tele.board.begin(len(dispatch_specs))
-
-    resolved: Dict[int, object] = {}
-    res_counters = None
-    if resil is not None:
-        from .resilience import dispatch_resilient
-
-        with maybe_span(
-            tracer,
-            "engine.dispatch",
-            cat="engine",
-            pool=kind,
+    stalls_before = telemetry.board.stalls if telemetry is not None else 0
+    with maybe_span(
+        tracer,
+        "engine.dispatch",
+        cat="engine",
+        pool=kind,
+        workers=workers_used,
+        dispatched=len(dispatch_specs),
+        batches=len(buckets),
+    ):
+        resolved, res_counters = dispatch_resilient(
+            kind=kind,
             workers=workers_used,
-            dispatched=len(dispatch_specs),
-            batches=len(buckets),
-            resilient=True,
-        ):
-            resolved, res_counters = dispatch_resilient(
-                kind=kind,
-                workers=workers_used,
-                seq=seq,
-                model=model,
-                alpha=alpha,
-                build_schedules=build_schedules,
-                attribute=attribute,
-                units=dict(enumerate(dispatch_specs)),
-                tracer=tracer,
-                config=resil,
-                dp_backend=dp_backend,
-                telemetry=tele,
-            )
-    elif kind == "serial":
-        for pos, spec in enumerate(dispatch_specs):
-            label = _unit_label(spec)
-            if tele is not None:
-                tele.board.unit_started(label)
-            with maybe_span(
-                tracer,
-                "phase2.solve",
-                cat="phase2",
-                unit=label,
-                kind=spec[0],
-            ):
-                resolved[pos] = _serve_unit(
-                    seq, spec, model, alpha, build_schedules, attribute,
-                    dp_backend, recorder=tele,
-                )
-            if tele is not None:
-                tele.board.unit_finished(label)
-    else:
-        chunksize = max(1, len(dispatch_specs) // (4 * workers_used))
-        trace = tracer is not None
-        with maybe_span(
-            tracer,
-            "engine.dispatch",
-            cat="engine",
-            pool=kind,
-            workers=workers_used,
-            dispatched=len(dispatch_specs),
-            batches=len(buckets),
-        ):
-            with _make_executor(
-                kind, workers_used, seq, model, alpha, build_schedules,
-                attribute, trace, dp_backend, tele is not None,
-            ) as ex:
-                if kind == "thread":
-
-                    def _serve_traced(spec: _UnitSpec):
-                        # worker threads record straight into the shared
-                        # tracer/telemetry hub (both are thread-safe);
-                        # each span stamps its own tid
-                        label = _unit_label(spec)
-                        if tele is not None:
-                            tele.board.unit_started(label)
-                        try:
-                            with maybe_span(
-                                tracer,
-                                "phase2.solve",
-                                cat="phase2",
-                                unit=label,
-                                kind=spec[0],
-                            ):
-                                return _serve_unit(
-                                    seq, spec, model, alpha, build_schedules,
-                                    attribute, dp_backend, recorder=tele,
-                                )
-                        finally:
-                            if tele is not None:
-                                tele.board.unit_finished(label)
-
-                    results = ex.map(_serve_traced, dispatch_specs)
-                    for pos, report in enumerate(results):
-                        resolved[pos] = report
-                elif trace:
-                    results = ex.map(
-                        _serve_unit_in_worker_traced,
-                        dispatch_specs,
-                        chunksize=chunksize,
-                    )
-                    for pos, (report, spans, wstats) in enumerate(results):
-                        resolved[pos] = report
-                        tracer.extend(spans)
-                        if tele is not None:
-                            tele.absorb_worker(wstats)
-                            tele.board.unit_finished(
-                                _unit_label(dispatch_specs[pos])
-                            )
-                elif tele is not None:
-                    results = ex.map(
-                        _serve_unit_in_worker_telemetry,
-                        dispatch_specs,
-                        chunksize=chunksize,
-                    )
-                    for pos, (report, wstats) in enumerate(results):
-                        resolved[pos] = report
-                        tele.absorb_worker(wstats)
-                        tele.board.unit_finished(_unit_label(dispatch_specs[pos]))
-                else:
-                    results = ex.map(
-                        _serve_unit_in_worker, dispatch_specs, chunksize=chunksize
-                    )
-                    for pos, report in enumerate(results):
-                        resolved[pos] = report
+            seq=seq,
+            model=model,
+            alpha=alpha,
+            build_schedules=build_schedules,
+            attribute=attribute,
+            units=dict(enumerate(dispatch_specs)),
+            tracer=tracer,
+            config=config,
+            dp_backend=dp_backend,
+            telemetry=telemetry,
+        )
 
     # -- map dispatch results back onto per-unit reports -----------------
     if batch_mode:
@@ -912,11 +756,15 @@ def serve_plan(
         dispatched=len(pending),
         memo_hits=hits,
         memo_misses=len(pending) if use_memo else 0,
-        retries=res_counters.retries if res_counters else 0,
-        timeouts=res_counters.timeouts if res_counters else 0,
-        pool_fallbacks=res_counters.pool_fallbacks if res_counters else 0,
-        units_failed=res_counters.units_failed if res_counters else 0,
-        stalls=(tele.board.stalls - stalls_before) if tele is not None else 0,
+        retries=res_counters.retries,
+        timeouts=res_counters.timeouts,
+        pool_fallbacks=res_counters.pool_fallbacks,
+        units_failed=res_counters.units_failed,
+        stalls=(
+            telemetry.board.stalls - stalls_before
+            if telemetry is not None
+            else 0
+        ),
         batches=len(buckets),
         pad_waste=waste,
         compiled_units=len(pending) if dp_backend == "compiled" else 0,

@@ -1,13 +1,17 @@
-"""Fault-tolerant dispatch for the Phase-2 execution engine.
+"""Fault-tolerant dispatch: the one route every Phase-2 unit takes.
 
-The bare pool of :mod:`repro.engine.parallel` is fast but brittle: one
-crashed worker (``BrokenProcessPool``), one hung DP solve, or one
-corrupted unit result aborts the whole ``serve_plan`` call -- and with
-it a multi-hour sweep.  This module wraps the same per-unit solves in
-the retry/timeout/degradation shape a production serving stack uses:
+:func:`~repro.engine.parallel.serve_plan` (and through it
+:func:`~repro.core.dp_greedy.solve_dp_greedy`) and the sharded driver
+hand their units to :func:`dispatch_resilient`, which runs them on a
+serial, thread, or process rung.  With the default
+:data:`NO_RESILIENCE` config each unit runs once and the first failure
+surfaces; opting in (``resilience=True`` or a :class:`ResilienceConfig`)
+adds the retry/timeout/degradation shape a production serving stack
+uses, so one crashed worker (``BrokenProcessPool``), one hung DP solve,
+or one corrupted unit result no longer aborts a multi-hour sweep:
 
-* **per-unit futures** replace order-preserving ``Executor.map``, so a
-  single unit's failure is *that unit's* problem, not the batch's;
+* **per-unit futures**, at most ``workers`` in flight, so a single
+  unit's failure is *that unit's* problem, not the batch's;
 * **bounded retry with exponential backoff + jitter**: a failed or
   timed-out unit is re-dispatched up to ``retries`` times (solves are
   pure, so a retried unit returns the bit-identical report);
@@ -75,7 +79,12 @@ from .chaos import FaultPlan, chaos_from_env
 
 log = logging.getLogger(__name__)
 
-__all__ = ["ResilienceConfig", "ResilienceCounters", "dispatch_resilient"]
+__all__ = [
+    "NO_RESILIENCE",
+    "ResilienceConfig",
+    "ResilienceCounters",
+    "dispatch_resilient",
+]
 
 #: The degradation ladder, most- to least-parallel.  A broken pool
 #: falls to the next rung; the serial rung cannot break.
@@ -148,10 +157,14 @@ class ResilienceConfig:
             raise TypeError("chaos must be a FaultPlan, False, or None")
 
     @classmethod
-    def coerce(cls, value: "ResilienceConfig | bool | None") -> "Optional[ResilienceConfig]":
-        """Normalise the ``resilience=`` argument of the public API."""
+    def coerce(cls, value: "ResilienceConfig | bool | None") -> "ResilienceConfig":
+        """Normalise the ``resilience=`` argument of the public API.
+
+        ``None``/``False`` map to :data:`NO_RESILIENCE`: no retries,
+        ``REPRO_CHAOS`` ignored, and a broken pool raises.
+        """
         if value is None or value is False:
-            return None
+            return NO_RESILIENCE
         if value is True:
             return cls()
         if isinstance(value, cls):
@@ -167,6 +180,12 @@ class ResilienceConfig:
         if self.chaos is None:
             return chaos_from_env()
         return self.chaos
+
+
+#: What ``resilience=None``/``False`` means: the dispatcher runs every
+#: unit once, never injects faults, and surfaces a broken pool as
+#: :class:`~repro.errors.PoolBrokenError` instead of degrading.
+NO_RESILIENCE = ResilienceConfig(retries=0, chaos=False, degrade_pool=False)
 
 
 @dataclass
@@ -200,11 +219,11 @@ _TIMEOUT = "timeout"  # sentinel in the per-unit last-error slot
 def _serve_unit_attempt_in_worker(spec, attempt, plan, trace):
     """Process-pool worker side of one resilient attempt.
 
-    Mirrors ``parallel._serve_unit_in_worker_traced`` but threads the
-    attempt number and the fault plan through; always returns
-    ``(report, spans, stats_or_None)`` so the parent has one collection
-    path (``stats`` carries the worker's latency entries and resource
-    peaks when telemetry is on).
+    Runs the unit under the attempt number and the fault plan, inside a
+    ``phase2.solve`` span of the worker's process-local tracer; always
+    returns ``(report, spans, stats_or_None)`` so the parent has one
+    collection path (``stats`` carries the worker's latency entries and
+    resource peaks when telemetry is on).
     """
     from . import parallel
 

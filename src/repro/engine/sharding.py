@@ -21,7 +21,7 @@ bytes per worker instead of gigabytes.
 Determinism: a shard solves its units with the exact per-unit serves of
 the unsharded path, reports are zipped back onto their plan-order unit
 indices, and the final ``total`` is the same left-to-right
-``sum(r.total for r in reports)`` -- bit-identical to
+``sum((r.total for r in reports), 0.0)`` -- bit-identical to
 ``solve_dp_greedy`` for every backend, worker count, and shard count.
 """
 
@@ -381,7 +381,13 @@ def _solve_sharded_inner(
     workers_used, kind = _resolve_backend(
         workers, pending_nodes, len(dispatch), pool
     )
-    config = ResilienceConfig.coerce(resilience) or ResilienceConfig()
+    # shards retry by default: resilience=None/False means the stock
+    # ResilienceConfig here, not NO_RESILIENCE
+    config = (
+        ResilienceConfig()
+        if resilience is None or resilience is False
+        else ResilienceConfig.coerce(resilience)
+    )
 
     def on_result(pos: int, shard: ShardResult) -> None:
         resolved[pos] = shard
@@ -401,7 +407,6 @@ def _solve_sharded_inner(
             workers=workers_used,
             dispatched=len(dispatch),
             shards=len(shard_specs),
-            resilient=True,
         ):
             _results, res_counters = dispatch_resilient(
                 kind=kind,
@@ -459,7 +464,7 @@ def _solve_sharded_inner(
     )
 
     final_reports = [r for r in reports if r is not None]
-    total = sum(r.total for r in final_reports)
+    total = sum((r.total for r in final_reports), 0.0)
     if observe:
         obs.finalize(
             seq,

@@ -270,6 +270,13 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostModel(mu=0.0, lam=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mu", "lam"])
+    def test_non_finite_rates_rejected_by_name(self, field, bad):
+        rates = {"mu": 1.0, "lam": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"cost rate {field} must be finite"):
+            CostModel(**rates)
+
     def test_zero_lambda_allowed(self):
         m = CostModel(mu=1.0, lam=0.0)
         assert m.transfer_cost() == 0.0

@@ -1,7 +1,7 @@
 """The parallel/memoized execution engine must be invisible in the output.
 
 Every test here pins the engine-served results -- across worker counts,
-pool backends, and memo states -- to the classic serial loop, down to
+pool backends, and memo states -- to the default one-worker solve, down to
 dataclass equality of the per-unit reports (which compares every float
 bit-for-bit).
 """
@@ -107,10 +107,12 @@ class TestEquivalence:
 
 
 class TestEngineApi:
-    def test_serial_path_has_no_engine_stats(self, unit_model):
+    def test_default_runs_one_serial_worker(self, unit_model):
         seq = _workload(n=40, items=3)
-        assert _serial(seq, unit_model).engine_stats is None
-        assert _serial(seq, unit_model, workers=1).engine_stats is not None
+        s = _serial(seq, unit_model).engine_stats
+        assert s.pool == "serial"
+        assert s.workers == 1
+        assert s.dispatched == s.units
 
     def test_memo_true_uses_default_memo(self, unit_model):
         from repro.engine.memo import get_default_memo
@@ -149,43 +151,7 @@ class TestEngineApi:
 
 
 class TestExecutorHardening:
-    """_make_executor must behave identically on fork-less platforms and
-    must actually batch process-pool dispatch via ``chunksize``."""
-
-    def test_chunksize_reaches_process_pool_map(self, unit_model, monkeypatch):
-        # regression guard: ex.map(..., chunksize=) silently ignores a
-        # typo'd kwarg only if we never assert it arrives
-        import repro.engine.parallel as parallel
-
-        seen = {}
-
-        class _RecordingExecutor:
-            def map(self, fn, *iterables, **kwargs):
-                seen.update(kwargs)
-                return map(fn, *iterables)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-        def fake_make(kind, workers, seq, model, alpha, build_schedules,
-                      attribute, trace=False, dp_backend="sparse",
-                      telemetry=False):
-            # run the worker initializer in-process so _serve_unit_in_worker
-            # finds its globals
-            parallel._init_worker(
-                seq, model, alpha, build_schedules, attribute, trace,
-                dp_backend, telemetry,
-            )
-            return _RecordingExecutor()
-
-        monkeypatch.setattr(parallel, "_make_executor", fake_make)
-        seq = _workload(n=60, items=5)
-        plan = _serial(seq, unit_model).plan
-        serve_plan(seq, plan, unit_model, ALPHA, workers=2, pool="process")
-        assert seen.get("chunksize", 0) >= 1
+    """_make_executor must behave identically on fork-less platforms."""
 
     def test_start_method_defaults_to_fork_when_available(self, monkeypatch):
         import multiprocessing

@@ -2,7 +2,7 @@
 
 Every test pins the resilient engine's output -- under injected
 crashes, worker kills, delays, timeouts, and corrupted results -- to
-the classic serial solve, bit-for-bit.  Chaos is always pinned
+the default solve, bit-for-bit.  Chaos is always pinned
 explicitly (a ``FaultPlan`` or ``chaos=False``) so the suite stays
 deterministic even when CI exports ``REPRO_CHAOS``.
 """
@@ -16,7 +16,7 @@ import pytest
 from repro.core.dp_greedy import solve_dp_greedy
 from repro.engine.chaos import FaultPlan
 from repro.engine.memo import SolverMemo
-from repro.engine.resilience import ResilienceConfig
+from repro.engine.resilience import NO_RESILIENCE, ResilienceConfig
 from repro.errors import (
     PoolBrokenError,
     ReproError,
@@ -284,8 +284,11 @@ class TestOnUnitError:
 
 class TestConfig:
     def test_coerce(self):
-        assert ResilienceConfig.coerce(None) is None
-        assert ResilienceConfig.coerce(False) is None
+        assert ResilienceConfig.coerce(None) is NO_RESILIENCE
+        assert ResilienceConfig.coerce(False) is NO_RESILIENCE
+        assert NO_RESILIENCE == ResilienceConfig(
+            retries=0, chaos=False, degrade_pool=False
+        )
         assert ResilienceConfig.coerce(True) == ResilienceConfig()
         cfg = ResilienceConfig(retries=5)
         assert ResilienceConfig.coerce(cfg) is cfg
@@ -327,6 +330,21 @@ class TestConfig:
         )
         assert got.total_cost == baseline.total_cost
         assert got.engine_stats.retries == 0
+
+    def test_default_route_keeps_chaos_off(self, seq, unit_model, monkeypatch):
+        # the CI chaos job exports a storm for whole test runs; only
+        # solves that opt into resilience may see it
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        clean = solve_dp_greedy(seq, unit_model, theta=THETA, alpha=ALPHA)
+        monkeypatch.setenv("REPRO_CHAOS", "seed=7,crash=1.0")
+        default = solve_dp_greedy(seq, unit_model, theta=THETA, alpha=ALPHA)
+        assert default.engine_stats.retries == 0
+        assert default.total_cost == clean.total_cost
+        opted_in = solve_dp_greedy(
+            seq, unit_model, theta=THETA, alpha=ALPHA, resilience=True
+        )
+        assert opted_in.engine_stats.retries > 0
+        assert opted_in.total_cost == clean.total_cost
 
 
 class TestObservability:

@@ -24,8 +24,8 @@ from repro.trace.workload import correlated_pair_sequence
 
 from ..conftest import cost_models, multi_item_sequences
 
-#: Engine configurations the property sweeps; "serial" is the classic
-#: in-process path, the rest exercise serve_plan's pools and the memo.
+#: Engine configurations the property sweeps; "serial" is the default
+#: call, the rest exercise serve_plan's pools and the memo.
 _CONFIGS = {
     "serial": dict(),
     "engine-serial": dict(workers=1, pool="serial"),
@@ -117,8 +117,8 @@ class TestRunObservation:
         _, obs, _ = _solve_observed(seq, CostModel(mu=1, lam=1), 0.3, 0.8, "serial")
         for phase in ("phase1.similarity", "phase1.packing", "phase2.serve"):
             assert phase in obs.timers, phase
-        # the serial loop times each serving unit individually
-        assert obs.timers.calls("phase2.serve") == obs.counters.get("phase2.units")
+        # Phase 2 is one serve_plan call, timed once per solve
+        assert obs.timers.calls("phase2.serve") == 1
 
     def test_counters_absorb_engine_and_memo(self):
         seq = correlated_pair_sequence(80, 6, 0.5, seed=2)
