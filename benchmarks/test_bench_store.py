@@ -31,7 +31,6 @@ from conftest import _history, run_once
 
 from repro.cache.model import CostModel
 from repro.core.dp_greedy import solve_dp_greedy
-from repro.engine.sharding import solve_dp_greedy_sharded
 from repro.trace.io import load_sequence
 from repro.trace.store import TraceStore, convert_csv_to_store
 
@@ -52,14 +51,14 @@ limit = int(sys.argv[3]) * 1024 * 1024
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 from repro.cache.model import CostModel
-from repro.engine.sharding import solve_dp_greedy_sharded
+from repro.core.dp_greedy import solve_dp_greedy
 from repro.trace.store import TraceStore, convert_csv_to_store
 
 t0 = time.perf_counter()
 dest, report = convert_csv_to_store(sys.argv[1], sys.argv[2], on_error="raise")
 t1 = time.perf_counter()
 seq = TraceStore.open(dest)
-result = solve_dp_greedy_sharded(
+result = solve_dp_greedy(
     seq, CostModel(mu=1.0, lam=1.0), theta=0.3, alpha=0.8,
     shards=4, workers=2, pool="process",
 )
@@ -150,7 +149,7 @@ def test_bench_store_smoke_bit_identity(benchmark, tmp_path):
     sseq = TraceStore.open(dest)
     got = run_once(
         benchmark,
-        solve_dp_greedy_sharded,
+        solve_dp_greedy,
         sseq, MODEL, theta=0.3, alpha=0.8, shards=4,
     )
     ref = solve_dp_greedy(load_sequence(csv_path), MODEL, theta=0.3, alpha=0.8)

@@ -109,8 +109,6 @@ from .engine import (
     package_service_pass,
     prev_same_server,
     serve_plan,
-    shard_by_items,
-    solve_dp_greedy_sharded,
 )
 from .errors import (
     PoolBrokenError,
@@ -189,14 +187,12 @@ __all__ = [
     "fingerprint_view",
     "EngineStats",
     "serve_plan",
-    # out-of-core store + sharded driver
+    # out-of-core store + sharded dispatch
     "TraceStore",
     "StoreSequence",
     "write_store",
     "convert_csv_to_store",
     "ShardResult",
-    "shard_by_items",
-    "solve_dp_greedy_sharded",
     # resilience + chaos
     "ResilienceConfig",
     "FaultPlan",

@@ -221,10 +221,9 @@ def _telemetry_session(
 def _resilience_from_args(args: argparse.Namespace):
     """Build a :class:`ResilienceConfig` when any resilience flag is set.
 
-    Leaving all three flags at their defaults returns ``None``: a plain
-    solve then runs each unit once with fault injection off
-    (:data:`~repro.engine.resilience.NO_RESILIENCE`), while a sharded
-    solve keeps its stock retrying config.
+    Leaving all three flags at their defaults returns ``None``: every
+    solve, sharded or not, then runs each unit once with fault injection
+    off (:data:`~repro.engine.resilience.NO_RESILIENCE`).
     """
     if (
         args.unit_timeout is None
@@ -374,10 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help=(
-            "run Phase 2 through the sharded driver: serving units are "
-            "grouped into K balanced shards (packages never split) and "
-            "each shard dispatches as one unit through the resilient "
-            "dispatcher -- bit-identical costs, out-of-core friendly"
+            "group Phase 2's serving units into K balanced shards "
+            "(packages never split), each dispatched as one unit -- "
+            "bit-identical costs, out-of-core friendly; retries only "
+            "with --retries/--unit-timeout/--on-unit-error"
         ),
     )
     solve.add_argument(
@@ -662,39 +661,21 @@ def _solve_trace(args: argparse.Namespace) -> int:
                 args.prom,
                 interval=args.prom_interval,
             ).start()
-        if args.shards is not None:
-            from .engine.sharding import solve_dp_greedy_sharded
-
-            dpg = solve_dp_greedy_sharded(
-                seq,
-                model,
-                theta=args.theta,
-                alpha=args.alpha,
-                shards=args.shards,
-                similarity=args.similarity,
-                dp_backend=args.dp_backend,
-                workers=args.workers,
-                memo=not args.no_memo,
-                obs=obs,
-                tracer=tracer,
-                resilience=_resilience_from_args(args),
-                telemetry=tele,
-            )
-        else:
-            dpg = solve_dp_greedy(
-                seq,
-                model,
-                theta=args.theta,
-                alpha=args.alpha,
-                similarity=args.similarity,
-                dp_backend=args.dp_backend,
-                workers=args.workers,
-                memo=not args.no_memo,
-                obs=obs,
-                tracer=tracer,
-                resilience=_resilience_from_args(args),
-                telemetry=tele,
-            )
+        dpg = solve_dp_greedy(
+            seq,
+            model,
+            theta=args.theta,
+            alpha=args.alpha,
+            similarity=args.similarity,
+            dp_backend=args.dp_backend,
+            workers=args.workers,
+            memo=not args.no_memo,
+            obs=obs,
+            tracer=tracer,
+            resilience=_resilience_from_args(args),
+            telemetry=tele,
+            shards=args.shards,
+        )
     if flusher is not None:
         flusher.stop()
     opt = solve_optimal_nonpacking(seq, model)

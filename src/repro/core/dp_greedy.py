@@ -114,7 +114,7 @@ class DPGreedyResult:
 
     ``engine_stats`` records how Phase 2 was dispatched (pool choice,
     worker count, memo hit/miss and retry counters); every solve through
-    :func:`solve_dp_greedy` or the sharded driver fills it in.
+    :func:`solve_dp_greedy` fills it in.
     """
 
     plan: PackingPlan
@@ -402,6 +402,9 @@ def solve_dp_greedy(
     resilience: "object | bool | None" = None,
     dp_backend: str = "sparse",
     telemetry: "object | None" = None,
+    shards: Optional[int] = None,
+    checkpoint: "object | None" = None,
+    resume: bool = False,
 ) -> DPGreedyResult:
     """Run the full two-phase DP_Greedy algorithm on ``seq``.
 
@@ -435,9 +438,9 @@ def solve_dp_greedy(
         :class:`~repro.engine.memo.SolverMemo` shared across calls (or
         ``True`` for the process-wide default memo); ``pool`` forces a
         backend (``"serial"``/``"thread"``/``"process"``) instead of the
-        size heuristic.  When none of these, ``resilience``, or a
-        batching ``dp_backend`` is set, Phase 2 runs on one worker in
-        the parent, unit after unit in plan order.
+        size heuristic.  When none of these, ``resilience``, a
+        batching ``dp_backend``, or ``shards`` is set, Phase 2 runs on
+        one worker in the parent, unit after unit in plan order.
     obs:
         Optional :class:`~repro.obs.RunObservation`.  When given, Phase-1
         and Phase-2 wall times are accumulated in ``obs.timers``, every
@@ -491,6 +494,13 @@ def solve_dp_greedy(
         un-started hub is started for the duration of this solve; a
         started one is left running.  Strictly observation-only: costs,
         plans, and reports are bit-identical with or without it.
+    shards / checkpoint / resume:
+        Phase-2 unit grouping (:func:`~repro.engine.parallel.serve_plan`):
+        ``shards=K`` dispatches the memo-miss units as at most ``K``
+        balanced shards that never split a package, with optional
+        crash-safe per-shard ``checkpoint``/``resume``.  ``None``
+        (default) dispatches unit by unit.  Costs and reports are
+        bit-identical for every shard count.
     """
     from ..obs.telemetry import active as _active_telemetry
 
@@ -511,105 +521,93 @@ def solve_dp_greedy(
     if tele is not None:
         tele.begin_run()
     try:
-        return _solve_dp_greedy_observed(
-            seq, model, theta=theta, alpha=alpha, packing=packing,
-            max_group_size=max_group_size, similarity=similarity,
-            build_schedules=build_schedules, plan=plan, parallel=parallel,
-            workers=workers, memo=memo, pool=pool, obs=obs, tracer=tracer,
-            resilience=resilience, dp_backend=dp_backend, tele=tele,
-            observe=observe, timed=timed, span_mark=span_mark,
+        with timed("phase1.similarity"), maybe_span(
+            tracer, "phase1.similarity", cat="phase1", backend=similarity
+        ):
+            stats = correlation_stats(seq, backend=similarity)
+        ran_join = plan is None
+        with timed("phase1.packing"), maybe_span(
+            tracer, "phase1.packing", cat="phase1"
+        ):
+            if plan is not None:
+                plan_items = {d for p in plan.packages for d in p} | set(plan.singletons)
+                if plan_items != set(seq.items):
+                    raise ValueError(
+                        "externally supplied plan does not cover the sequence's items"
+                    )
+            elif packing == "pairs":
+                plan = greedy_pair_packing(stats, theta)
+            elif packing == "groups":
+                plan = greedy_group_packing(stats, theta, max_group_size)
+            else:
+                raise ValueError(f"unknown packing mode {packing!r}")
+        if observe and ran_join:
+            # pruning statistics of the threshold-aware similarity join
+            obs.counters.absorb(stats.join_counters(theta), prefix="phase1.")
+            obs.counters.set("phase1.similarity_backend", similarity)
+
+        from ..engine.memo import SolverMemo, get_default_memo
+        from ..engine.parallel import serve_plan
+
+        if memo is True:
+            memo_obj = get_default_memo()
+        elif memo in (None, False):
+            memo_obj = None
+        elif isinstance(memo, SolverMemo):
+            memo_obj = memo
+        else:
+            raise TypeError("memo must be a SolverMemo, True, False, or None")
+        # a call that asks for no engine feature runs on one worker, in-parent
+        engine_opted_in = (
+            parallel
+            or workers is not None
+            or pool is not None
+            or memo_obj is not None
+            or resilience not in (None, False)
+            or dp_backend in ("batched", "compiled", "auto")
+            or shards is not None
+        )
+        with timed("phase2.serve"), maybe_span(tracer, "phase2.serve", cat="phase2"):
+            reports, engine_stats = serve_plan(
+                seq,
+                plan,
+                model,
+                alpha,
+                workers=workers if engine_opted_in else 1,
+                memo=memo_obj,
+                build_schedules=build_schedules,
+                pool=pool,
+                attribute=observe,
+                tracer=tracer,
+                resilience=resilience,
+                dp_backend=dp_backend,
+                telemetry=tele,
+                shards=shards,
+                checkpoint=checkpoint,
+                resume=resume,
+            )
+
+        total = sum((r.total for r in reports), 0.0)
+        if observe:
+            obs.finalize(
+                seq,
+                reports,
+                total,
+                engine_stats=engine_stats,
+                memo=memo_obj,
+                spans=tracer.aggregate(since=span_mark) if tracer is not None else None,
+                telemetry=tele,
+            )
+        return DPGreedyResult(
+            plan=plan,
+            stats=stats,
+            reports=tuple(reports),
+            total_cost=total,
+            denominator=seq.total_item_requests(),
+            theta=theta,
+            alpha=alpha,
+            engine_stats=engine_stats,
         )
     finally:
         if tele_owned:
             tele.stop()
-
-
-def _solve_dp_greedy_observed(
-    seq, model, *, theta, alpha, packing, max_group_size, similarity,
-    build_schedules, plan, parallel, workers, memo, pool, obs, tracer,
-    resilience, dp_backend, tele, observe, timed, span_mark,
-) -> DPGreedyResult:
-    """The body of :func:`solve_dp_greedy`, inside the telemetry window."""
-    with timed("phase1.similarity"), maybe_span(
-        tracer, "phase1.similarity", cat="phase1", backend=similarity
-    ):
-        stats = correlation_stats(seq, backend=similarity)
-    ran_join = plan is None
-    with timed("phase1.packing"), maybe_span(
-        tracer, "phase1.packing", cat="phase1"
-    ):
-        if plan is not None:
-            plan_items = {d for p in plan.packages for d in p} | set(plan.singletons)
-            if plan_items != set(seq.items):
-                raise ValueError(
-                    "externally supplied plan does not cover the sequence's items"
-                )
-        elif packing == "pairs":
-            plan = greedy_pair_packing(stats, theta)
-        elif packing == "groups":
-            plan = greedy_group_packing(stats, theta, max_group_size)
-        else:
-            raise ValueError(f"unknown packing mode {packing!r}")
-    if observe and ran_join:
-        # pruning statistics of the threshold-aware similarity join
-        obs.counters.absorb(stats.join_counters(theta), prefix="phase1.")
-        obs.counters.set("phase1.similarity_backend", similarity)
-
-    from ..engine.memo import SolverMemo, get_default_memo
-    from ..engine.parallel import serve_plan
-
-    if memo is True:
-        memo_obj = get_default_memo()
-    elif memo in (None, False):
-        memo_obj = None
-    elif isinstance(memo, SolverMemo):
-        memo_obj = memo
-    else:
-        raise TypeError("memo must be a SolverMemo, True, False, or None")
-    # a call that asks for no engine feature runs on one worker, in-parent
-    engine_opted_in = (
-        parallel
-        or workers is not None
-        or pool is not None
-        or memo_obj is not None
-        or resilience not in (None, False)
-        or dp_backend in ("batched", "compiled", "auto")
-    )
-    with timed("phase2.serve"), maybe_span(tracer, "phase2.serve", cat="phase2"):
-        reports, engine_stats = serve_plan(
-            seq,
-            plan,
-            model,
-            alpha,
-            workers=workers if engine_opted_in else 1,
-            memo=memo_obj,
-            build_schedules=build_schedules,
-            pool=pool,
-            attribute=observe,
-            tracer=tracer,
-            resilience=resilience,
-            dp_backend=dp_backend,
-            telemetry=tele,
-        )
-
-    total = sum((r.total for r in reports), 0.0)
-    if observe:
-        obs.finalize(
-            seq,
-            reports,
-            total,
-            engine_stats=engine_stats,
-            memo=memo_obj,
-            spans=tracer.aggregate(since=span_mark) if tracer is not None else None,
-            telemetry=tele,
-        )
-    return DPGreedyResult(
-        plan=plan,
-        stats=stats,
-        reports=tuple(reports),
-        total_cost=total,
-        denominator=seq.total_item_requests(),
-        theta=theta,
-        alpha=alpha,
-        engine_stats=engine_stats,
-    )

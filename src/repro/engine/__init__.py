@@ -1,7 +1,6 @@
 """Efficient implementation structures of Section V (pre-scan + service
 pass) plus the parallel Phase-2 execution engine, solver memo, and the
-fault-tolerant dispatch layer (resilience + chaos injection), and the
-sharded driver for out-of-core trace stores."""
+fault-tolerant dispatch layer (resilience + chaos injection)."""
 
 from .chaos import ChaosError, FaultPlan, chaos_from_env
 from .memo import SolverMemo, fingerprint_view, get_default_memo
@@ -9,7 +8,6 @@ from .parallel import EngineStats, ShardResult, serve_plan
 from .prescan import PreScan
 from .resilience import ResilienceConfig, dispatch_resilient
 from .service import greedy_service_pass, package_service_pass, prev_same_server
-from .sharding import shard_by_items, solve_dp_greedy_sharded
 
 __all__ = [
     "PreScan",
@@ -22,8 +20,6 @@ __all__ = [
     "EngineStats",
     "ShardResult",
     "serve_plan",
-    "shard_by_items",
-    "solve_dp_greedy_sharded",
     "ResilienceConfig",
     "dispatch_resilient",
     "FaultPlan",

@@ -46,6 +46,7 @@ per call through :class:`EngineStats`.
 
 from __future__ import annotations
 
+import heapq
 import math
 import multiprocessing
 import os
@@ -89,8 +90,8 @@ PROCESS_POOL_NODES = 16_384
 # Unit spec shipped to workers: ("package", (d1, d2, ...)),
 # ("singleton", item), under the batched backend a whole length-bucket
 # ("batch", (spec, spec, ...)) solved in one kernel call, or -- under
-# sharded dispatch (repro.engine.sharding) -- a whole shard
-# ("shard", (spec, spec, ...)) of units served serially in one worker.
+# serve_plan(shards=K) -- a whole shard ("shard", (spec, spec, ...)) of
+# units served serially in one worker.
 # Tuples keep pickling cheap and deterministic.
 _UnitSpec = Tuple[str, Union[Tuple[int, ...], int, Tuple]]
 
@@ -166,11 +167,11 @@ class BatchResult:
 class ShardResult:
     """Reports of one ``("shard", ...)`` dispatch, in shard-member order.
 
-    Produced by :func:`_solve_shard` for the sharded driver
-    (:mod:`repro.engine.sharding`), which zips the reports back onto the
-    shard's unit indices.  Mirrors :class:`BatchResult`'s contract with
-    the resilience layer: ``package_cost`` plus a ``total`` property, so
-    the finite-cost audit and the chaos corruption hook
+    Produced by :func:`_solve_shard` for ``serve_plan(shards=K)``,
+    which zips the reports back onto the shard's unit indices.  Mirrors
+    :class:`BatchResult`'s contract with the resilience layer:
+    ``package_cost`` plus a ``total`` property, so the finite-cost audit
+    and the chaos corruption hook
     (:meth:`~repro.engine.chaos.FaultPlan.corrupt_report`) apply to
     whole shards unchanged.
     """
@@ -461,6 +462,85 @@ def _unit_sizes(seq: RequestSequence, units: Sequence[_UnitSpec]) -> List[int]:
     return sizes
 
 
+def _lpt_partition(sizes: Sequence[int], shards: int) -> List[List[int]]:
+    """Longest-processing-time partition of unit indices into at most
+    ``shards`` balanced groups.
+
+    Deterministic: units are placed largest-first (ties by index) onto
+    the least-loaded shard (ties by shard number), and each group is
+    returned in ascending unit-index order -- i.e. plan order -- so a
+    shard serves its units in the same relative order as the unsharded
+    route.  Empty groups are dropped.
+    """
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    groups: List[List[int]] = [[] for _ in range(shards)]
+    heap = [(0, j) for j in range(shards)]
+    heapq.heapify(heap)
+    order = sorted(range(len(sizes)), key=lambda i: (-sizes[i], i))
+    for i in order:
+        load, j = heapq.heappop(heap)
+        groups[j].append(i)
+        # empty units still cost a dispatch slot: weigh them as 1
+        heapq.heappush(heap, (load + max(int(sizes[i]), 1), j))
+    return [sorted(g) for g in groups if g]
+
+
+# ---------------------------------------------------------------------------
+# shard checkpoints: GroupReports <-> JSON payloads
+# ---------------------------------------------------------------------------
+#: Checkpoint experiment id of sharded solves (see
+#: :func:`repro.experiments.base.sweep_checkpoint`).
+SHARD_CHECKPOINT_ID = "dp_greedy_sharded"
+
+
+def _shard_point(pos: int, spec: _UnitSpec) -> dict:
+    """Checkpoint key of one ``("shard", ...)`` dispatch."""
+    return {"shard": pos, "units": [_unit_label(s) for s in spec[1]]}
+
+
+def _report_to_json(report: GroupReport) -> dict:
+    """JSON-safe encoding of a cost-only :class:`GroupReport`.
+
+    Floats survive exactly (JSON emits the shortest round-tripping
+    decimal), so a resumed solve reproduces the original total bit for
+    bit.  Schedules are not serialised, which is why checkpointing
+    rejects ``build_schedules=True``.
+    """
+    return {
+        "group": sorted(int(d) for d in report.group),
+        "package_cost": report.package_cost,
+        "single_sided_cost": report.single_sided_cost,
+        "num_cooccurrence": report.num_cooccurrence,
+        "num_single_sided": report.num_single_sided,
+        "modes": [[t, m, c] for t, m, c in report.modes],
+        "attribution": (
+            None
+            if report.attribution is None
+            else [[t, a, c] for t, a, c in report.attribution]
+        ),
+    }
+
+
+def _report_from_json(payload: dict) -> GroupReport:
+    attribution = payload.get("attribution")
+    return GroupReport(
+        group=frozenset(int(d) for d in payload["group"]),
+        package_cost=float(payload["package_cost"]),
+        single_sided_cost=float(payload["single_sided_cost"]),
+        num_cooccurrence=int(payload["num_cooccurrence"]),
+        num_single_sided=int(payload["num_single_sided"]),
+        modes=tuple(
+            (float(t), str(m), float(c)) for t, m, c in payload["modes"]
+        ),
+        attribution=(
+            None
+            if attribution is None
+            else tuple((float(t), str(a), float(c)) for t, a, c in attribution)
+        ),
+    )
+
+
 def _resolve_backend(
     workers: Optional[int], pending_nodes: int, pending_units: int, pool: Optional[str]
 ) -> Tuple[int, str]:
@@ -547,6 +627,9 @@ def serve_plan(
     resilience: "object | bool | None" = None,
     dp_backend: str = "sparse",
     telemetry: Optional[Telemetry] = None,
+    shards: Optional[int] = None,
+    checkpoint: "object | None" = None,
+    resume: bool = False,
 ) -> Tuple[List[GroupReport], EngineStats]:
     """Serve every unit of ``plan``; return reports in plan order.
 
@@ -622,12 +705,42 @@ def serve_plan(
         process workers ship their ``getrusage`` peaks back for
         :meth:`~repro.obs.telemetry.Telemetry.absorb_worker`.  Strictly
         observation-only: reports are bit-identical with or without it.
+    shards:
+        ``None`` (default) dispatches one unit (or, batched, one length
+        bucket) at a time.  ``K >= 1`` groups the memo-miss units into at
+        most ``K`` shards -- longest-processing-time over the carried
+        request counts, never splitting a package -- and dispatches each
+        as one ``("shard", ...)`` spec, so retries, timeouts, pool
+        degradation, ``on_unit_error`` and chaos apply per shard; a
+        shard buckets its own units under the batched backends.  Useful
+        for store-backed traces with thousands of tiny units, where
+        per-unit dispatch overhead dominates (process workers re-open a
+        :class:`~repro.trace.store.StoreSequence` from its path, never a
+        pickled request list).  Reports are bit-identical to ``None``.
+    checkpoint / resume:
+        Crash-safe per-shard checkpointing of a sharded solve via
+        :func:`repro.experiments.base.sweep_checkpoint` (a directory, a
+        ``.jsonl`` path, or a live
+        :class:`~repro.experiments.base.SweepCheckpoint`).  Every
+        completed shard's reports are fsynced as they land -- including
+        shards recovered on a degraded pool rung -- and ``resume=True``
+        replays them instead of re-solving, reproducing the original
+        floats bit for bit.  Both need ``shards``, and ``checkpoint``
+        needs ``build_schedules=False`` (schedules are not stored).
     """
-    from .resilience import ResilienceConfig, dispatch_resilient
+    from . import resilience as _resilience
 
     if dp_backend not in _DP_BACKENDS:
         raise ValueError(f"unknown DP backend {dp_backend!r}")
-    config = ResilienceConfig.coerce(resilience)
+    if shards is not None and shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    if shards is None and (checkpoint is not None or resume):
+        raise ValueError("checkpoint/resume need a sharded solve (shards=K)")
+    if checkpoint is not None and build_schedules:
+        raise ValueError(
+            "checkpoint does not store schedules: use build_schedules=False"
+        )
+    config = _resilience.ResilienceConfig.coerce(resilience)
     units = _plan_units(plan)
     n_packages = len(plan.packages)
     use_memo = memo is not None and not build_schedules
@@ -645,8 +758,8 @@ def serve_plan(
             if telemetry is not None and jit_seconds > 0.0:
                 telemetry.record(_telemetry.H_JIT, jit_seconds)
 
-    # one sizes pass for the whole plan: pool auto-selection and batch
-    # bucketing share it instead of re-deriving per phase
+    # one sizes pass for the whole plan: pool auto-selection, batch
+    # bucketing and shard balancing share it
     all_sizes = _unit_sizes(seq, units)
 
     reports: List[Optional[GroupReport]] = [None] * len(units)
@@ -671,71 +784,116 @@ def serve_plan(
 
     pending_nodes = sum(all_sizes[i] for i in pending)
 
-    # -- batch scheduling (dp_backend="batched", cost-only mode) ---------
-    batch_mode = (
+    # -- unit grouping: one dispatch per unit, per length bucket
+    # (batched backends, cost-only mode), or per LPT shard ---------------
+    grouping = "unit"
+    waste = 0.0
+    if shards is not None:
+        grouping = "shard"
+        groups = [
+            [pending[i] for i in group]
+            for group in _lpt_partition([all_sizes[i] for i in pending], shards)
+        ]
+    elif (
         dp_backend in ("batched", "compiled")
         and not build_schedules
         and not attribute
-        and bool(pending)
-    )
-    buckets: List[List[int]] = []
-    waste = 0.0
-    if batch_mode:
-        lengths = {idx: all_sizes[idx] for idx in pending}
-        buckets = length_buckets(pending, lengths)
+        and pending
+    ):
+        grouping = "batch"
+        groups = length_buckets(pending, {idx: all_sizes[idx] for idx in pending})
         # report the padding the kernel will actually materialise (event
         # counts of the cached views, origin included)
         view_lengths = {idx: len(_unit_view(seq, units[idx])) for idx in pending}
-        waste = pad_waste(buckets, view_lengths)
-        dispatch_specs: List[_UnitSpec] = [
-            ("batch", tuple(units[i] for i in bucket)) for bucket in buckets
-        ]
+        waste = pad_waste(groups, view_lengths)
     else:
-        dispatch_specs = [units[i] for i in pending]
+        groups = [[idx] for idx in pending]
+    if grouping == "unit":
+        dispatch_specs: List[_UnitSpec] = [units[idx] for idx in pending]
+    else:
+        dispatch_specs = [
+            (grouping, tuple(units[i] for i in group)) for group in groups
+        ]
+    n_batches = len(groups) if grouping == "batch" else 0
+    n_shards = len(groups) if grouping == "shard" else 0
 
+    # -- shard checkpoint: replay completed shards, record new ones ------
+    resolved: Dict[int, object] = {}
+    ckpt = None
+    if checkpoint is not None or resume:
+        from ..experiments.base import sweep_checkpoint
+
+        ckpt = sweep_checkpoint(checkpoint, SHARD_CHECKPOINT_ID, resume)
+    on_result = None
+    if ckpt is not None:
+        for pos, spec in enumerate(dispatch_specs):
+            payload = ckpt.get(_shard_point(pos, spec))
+            if payload is not None:
+                resolved[pos] = ShardResult(
+                    reports=tuple(
+                        _report_from_json(r) for r in payload["reports"]
+                    )
+                )
+
+        def on_result(pos: int, shard: ShardResult) -> None:
+            ckpt.record(
+                _shard_point(pos, dispatch_specs[pos]),
+                {"reports": [_report_to_json(r) for r in shard.reports]},
+            )
+
+    to_dispatch = {
+        pos: spec for pos, spec in enumerate(dispatch_specs) if pos not in resolved
+    }
     workers_used, kind = _resolve_backend(
-        workers, pending_nodes, len(dispatch_specs), pool
+        workers, pending_nodes, len(to_dispatch), pool
     )
 
     stalls_before = telemetry.board.stalls if telemetry is not None else 0
+    res_counters = _resilience.ResilienceCounters()
     with maybe_span(
         tracer,
         "engine.dispatch",
         cat="engine",
         pool=kind,
         workers=workers_used,
-        dispatched=len(dispatch_specs),
-        batches=len(buckets),
+        dispatched=len(to_dispatch),
+        batches=n_batches,
+        shards=n_shards,
     ):
-        resolved, res_counters = dispatch_resilient(
-            kind=kind,
-            workers=workers_used,
-            seq=seq,
-            model=model,
-            alpha=alpha,
-            build_schedules=build_schedules,
-            attribute=attribute,
-            units=dict(enumerate(dispatch_specs)),
-            tracer=tracer,
-            config=config,
-            dp_backend=dp_backend,
-            telemetry=telemetry,
-        )
+        if to_dispatch:
+            fresh, res_counters = _resilience.dispatch_resilient(
+                kind=kind,
+                workers=workers_used,
+                seq=seq,
+                model=model,
+                alpha=alpha,
+                build_schedules=build_schedules,
+                attribute=attribute,
+                units=to_dispatch,
+                tracer=tracer,
+                config=config,
+                dp_backend=dp_backend,
+                on_result=on_result,
+                telemetry=telemetry,
+            )
+            resolved.update(fresh)
 
     # -- map dispatch results back onto per-unit reports -----------------
-    if batch_mode:
-        for pos, bucket in enumerate(buckets):
-            batch = resolved.get(pos)
-            if batch is None:  # bucket skipped by the resilience layer
-                continue
-            for unit_idx, cost in zip(bucket, batch.costs):
-                reports[unit_idx] = _assemble_unit_report(
-                    seq, units[unit_idx], model, alpha, float(cost)
-                )
-    else:
-        for pos, unit_idx in enumerate(pending):
-            if pos in resolved:
-                reports[unit_idx] = resolved[pos]
+    for pos, group in enumerate(groups):
+        result = resolved.get(pos)
+        if result is None:  # dispatch skipped by the resilience layer
+            continue
+        if grouping == "batch":
+            members = [
+                _assemble_unit_report(seq, units[idx], model, alpha, float(cost))
+                for idx, cost in zip(group, result.costs)
+            ]
+        elif grouping == "shard":
+            members = result.reports
+        else:
+            members = [result]
+        for idx, report in zip(group, members):
+            reports[idx] = report
 
     if use_memo:
         for idx in pending:
@@ -759,14 +917,15 @@ def serve_plan(
         retries=res_counters.retries,
         timeouts=res_counters.timeouts,
         pool_fallbacks=res_counters.pool_fallbacks,
-        units_failed=res_counters.units_failed,
+        units_failed=sum(1 for idx in pending if reports[idx] is None),
         stalls=(
             telemetry.board.stalls - stalls_before
             if telemetry is not None
             else 0
         ),
-        batches=len(buckets),
+        batches=n_batches,
         pad_waste=waste,
+        shards=n_shards,
         compiled_units=len(pending) if dp_backend == "compiled" else 0,
         compiled_fallbacks=compiled_dp.fallback_count() - compiled_fb_before,
         dp_backend=dp_backend,

@@ -1,9 +1,9 @@
 """Fault-tolerant dispatch: the one route every Phase-2 unit takes.
 
 :func:`~repro.engine.parallel.serve_plan` (and through it
-:func:`~repro.core.dp_greedy.solve_dp_greedy`) and the sharded driver
-hand their units to :func:`dispatch_resilient`, which runs them on a
-serial, thread, or process rung.  With the default
+:func:`~repro.core.dp_greedy.solve_dp_greedy`) hands its units to
+:func:`dispatch_resilient`, which runs them on a serial, thread, or
+process rung.  With the default
 :data:`NO_RESILIENCE` config each unit runs once and the first failure
 surfaces; opting in (``resilience=True`` or a :class:`ResilienceConfig`)
 adds the retry/timeout/degradation shape a production serving stack
@@ -284,15 +284,16 @@ def dispatch_resilient(
     counters.  ``kind`` is the pool the heuristic picked; broken pools
     degrade down :data:`DEGRADATION_LADDER`, re-dispatching only
     unresolved units.  Specs may include whole ``("batch", ...)``
-    buckets of the batched scheduler or ``("shard", ...)`` shards of
-    the sharded driver: retry, timeout, degradation, the finite-cost
+    buckets of the batched scheduler or ``("shard", ...)`` shards of a
+    ``shards=K`` solve: retry, timeout, degradation, the finite-cost
     audit, and chaos corruption then apply per *dispatch*
     (``units_failed`` counts one per skipped dispatch).
 
     ``on_result(idx, report)``, when given, fires as each unit's audited
     result lands -- including results recovered on a degraded rung --
-    and never for skipped units.  The sharded driver uses it to record
-    completed shards into a crash-safe checkpoint as they finish.
+    and never for skipped units.  A checkpointed sharded solve uses it
+    to record completed shards into a crash-safe checkpoint as they
+    finish.
 
     ``telemetry`` plugs the dispatch into the runtime telemetry plane:
     dispatch roundtrips and backoff delays land in its histograms,

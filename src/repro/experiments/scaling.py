@@ -29,6 +29,7 @@ feeds, so scaling runs participate in the perf regression gate.
 
 from __future__ import annotations
 
+import os
 from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -75,10 +76,9 @@ def run_scaling(
     ``store=True`` adds an out-of-core curve: at every size a
     multi-item workload is written to a columnar
     :class:`~repro.trace.store.TraceStore` (under ``store_dir``, default
-    a temp directory) and the full sharded DP_Greedy solve is timed
-    straight off the memory-mapped columns
-    (:func:`~repro.engine.sharding.solve_dp_greedy_sharded`), with its
-    total asserted bit-identical to the in-memory
+    a temp directory) and the full DP_Greedy solve, sharded one shard
+    per CPU, is timed straight off the memory-mapped columns, with its
+    total asserted bit-identical to the unsharded in-memory
     :func:`~repro.core.dp_greedy.solve_dp_greedy` at every size.  With
     ``history=`` the curve lands as a ``scaling.store`` record.
     """
@@ -164,7 +164,6 @@ def run_scaling(
         import tempfile
 
         from ..core.dp_greedy import solve_dp_greedy
-        from ..engine.sharding import solve_dp_greedy_sharded
         from ..trace.store import TraceStore, write_store
         from ..trace.workload import zipf_item_workload
 
@@ -174,6 +173,7 @@ def run_scaling(
             else Path(tempfile.mkdtemp(prefix="repro-scaling-store-"))
         )
         num_items = max(8, num_servers // 2)
+        shards = os.cpu_count() or 1
         for i, n in enumerate(sizes):
             point = {"n": n, "curve": "store"}
             cached = ckpt.get(point) if ckpt else None
@@ -184,15 +184,17 @@ def run_scaling(
                 sseq = TraceStore.open(write_store(seq, base / f"n{n}"))
                 t_store = time_best_of(
                     partial(
-                        solve_dp_greedy_sharded, sseq, model,
-                        theta=0.3, alpha=0.8,
+                        solve_dp_greedy, sseq, model,
+                        theta=0.3, alpha=0.8, shards=shards,
                     ),
                     repeats=repeats, timers=timers, phase=f"scaling.store.n{n}",
                 )
                 # the store-backed sharded solve must reproduce the
                 # in-memory total bit for bit at every size
                 mem = solve_dp_greedy(seq, model, theta=0.3, alpha=0.8)
-                off = solve_dp_greedy_sharded(sseq, model, theta=0.3, alpha=0.8)
+                off = solve_dp_greedy(
+                    sseq, model, theta=0.3, alpha=0.8, shards=shards
+                )
                 if off.total_cost != mem.total_cost:
                     raise AssertionError(
                         f"store-backed total mismatch at n={n}: "

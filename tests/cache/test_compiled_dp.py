@@ -30,7 +30,6 @@ from repro.core.dp_greedy import solve_dp_greedy
 from repro.engine.chaos import FaultPlan
 from repro.engine.memo import SolverMemo
 from repro.engine.resilience import ResilienceConfig
-from repro.engine.sharding import solve_dp_greedy_sharded
 from repro.trace.store import TraceStore, write_store
 from repro.trace.workload import random_single_item_view, zipf_item_workload
 
@@ -306,7 +305,7 @@ class TestEngineCompiledScheduler:
         seq = self._workload(seed=14)
         ref = solve_dp_greedy(seq, unit_model, theta=0.3, alpha=0.8)
         sseq = TraceStore.open(write_store(seq, tmp_path / "s"))
-        got = solve_dp_greedy_sharded(
+        got = solve_dp_greedy(
             sseq, unit_model, theta=0.3, alpha=0.8, shards=3,
             dp_backend="compiled", workers=2, pool="thread",
         )

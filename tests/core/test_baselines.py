@@ -49,14 +49,10 @@ class TestOptimalNonpacking:
         assert res.ave_cost == 0.0
 
     def test_empty_sequence_dp_greedy_total_is_float(self, unit_model):
-        from repro.engine.sharding import solve_dp_greedy_sharded
-
         seq = RequestSequence([], num_servers=2)
         for res in (
             solve_dp_greedy(seq, unit_model, theta=0.3, alpha=0.8),
-            solve_dp_greedy_sharded(
-                seq, unit_model, theta=0.3, alpha=0.8, shards=2
-            ),
+            solve_dp_greedy(seq, unit_model, theta=0.3, alpha=0.8, shards=2),
         ):
             # 0.0, not the int 0 an unseeded sum() of no reports gives
             assert type(res.total_cost) is float

@@ -250,13 +250,17 @@ class TestOnUnitError:
         else:
             pytest.fail("expected UnitSolveError")
 
-    def test_skip_drops_units_and_counts_them(self, seq, baseline, unit_model):
+    @pytest.mark.parametrize("dp_backend", ["sparse", "batched"])
+    def test_skip_drops_units_and_counts_them(self, seq, baseline, unit_model,
+                                              dp_backend):
+        # under "batched" one skipped dispatch is a whole length bucket:
+        # units_failed must still count units, not buckets
         got = _solve(
             seq, unit_model,
             resilience=ResilienceConfig(
                 chaos=self.PLAN, retries=1, on_unit_error="skip"
             ),
-            workers=2, pool="thread",
+            workers=2, pool="thread", dp_backend=dp_backend,
         )
         es = got.engine_stats
         assert es.units_failed > 0
@@ -331,17 +335,24 @@ class TestConfig:
         assert got.total_cost == baseline.total_cost
         assert got.engine_stats.retries == 0
 
-    def test_default_route_keeps_chaos_off(self, seq, unit_model, monkeypatch):
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_default_route_keeps_chaos_off(self, seq, unit_model, monkeypatch,
+                                           shards):
         # the CI chaos job exports a storm for whole test runs; only
-        # solves that opt into resilience may see it
+        # solves that opt into resilience may see it, sharded or not
         monkeypatch.delenv("REPRO_CHAOS", raising=False)
-        clean = solve_dp_greedy(seq, unit_model, theta=THETA, alpha=ALPHA)
+        clean = solve_dp_greedy(
+            seq, unit_model, theta=THETA, alpha=ALPHA, shards=shards
+        )
         monkeypatch.setenv("REPRO_CHAOS", "seed=7,crash=1.0")
-        default = solve_dp_greedy(seq, unit_model, theta=THETA, alpha=ALPHA)
+        default = solve_dp_greedy(
+            seq, unit_model, theta=THETA, alpha=ALPHA, shards=shards
+        )
         assert default.engine_stats.retries == 0
         assert default.total_cost == clean.total_cost
         opted_in = solve_dp_greedy(
-            seq, unit_model, theta=THETA, alpha=ALPHA, resilience=True
+            seq, unit_model, theta=THETA, alpha=ALPHA, resilience=True,
+            shards=shards,
         )
         assert opted_in.engine_stats.retries > 0
         assert opted_in.total_cost == clean.total_cost

@@ -1,10 +1,9 @@
-"""Tests of the sharded DP_Greedy driver.
+"""Tests of sharded DP_Greedy solves (``solve_dp_greedy(..., shards=K)``).
 
 The contract is the same as the parallel engine's: sharding must be
-invisible in the output.  Every test pins
-:func:`~repro.engine.sharding.solve_dp_greedy_sharded` -- across shard
-counts, pool backends, DP backends, chaos, checkpoint resume, and
-store-backed sequences -- to the classic
+invisible in the output.  Every test pins a sharded solve -- across
+shard counts, pool backends, DP backends, chaos, checkpoint resume, and
+store-backed sequences -- to the unsharded
 :func:`~repro.core.dp_greedy.solve_dp_greedy`, down to dataclass
 equality of the per-unit reports (bit-for-bit floats).
 """
@@ -17,13 +16,13 @@ from repro.cache.model import CostModel
 from repro.core.dp_greedy import solve_dp_greedy
 from repro.engine.chaos import FaultPlan
 from repro.engine.memo import SolverMemo
-from repro.engine.parallel import _plan_units
-from repro.engine.resilience import ResilienceConfig
-from repro.engine.sharding import (
+from repro.engine.parallel import (
+    SHARD_CHECKPOINT_ID,
     _lpt_partition,
-    shard_by_items,
-    solve_dp_greedy_sharded,
+    _plan_units,
+    _unit_sizes,
 )
+from repro.engine.resilience import ResilienceConfig
 from repro.trace.store import TraceStore, write_store
 from repro.trace.workload import zipf_item_workload
 
@@ -48,9 +47,20 @@ _MODEL = CostModel(mu=1.0, lam=1.0)
 
 
 def _solve(seq, **kw):
-    return solve_dp_greedy_sharded(
-        seq, _MODEL, theta=THETA, alpha=ALPHA, **kw
-    )
+    # stock retries unless a test pins its own config, so an exported
+    # REPRO_CHAOS storm reaches the sharded route
+    kw.setdefault("resilience", ResilienceConfig())
+    return solve_dp_greedy(seq, _MODEL, theta=THETA, alpha=ALPHA, **kw)
+
+
+def _shard_units(seq, plan, shards):
+    """The plan's units grouped as ``serve_plan(shards=...)`` groups
+    them when nothing is memoised."""
+    units = _plan_units(plan)
+    return [
+        tuple(units[i] for i in group)
+        for group in _lpt_partition(_unit_sizes(seq, units), shards)
+    ]
 
 
 class TestBitIdentity:
@@ -87,20 +97,14 @@ class TestBitIdentity:
         assert got.total_cost == baseline.total_cost
         assert got.reports == baseline.reports
 
-    def test_default_shard_count_is_cpu_count(self, seq):
-        import os
-
-        got = _solve(seq)
-        expected_units = got.engine_stats.units
-        assert got.engine_stats.shards == min(
-            max(1, os.cpu_count() or 1), expected_units
-        )
+    def test_unsharded_by_default(self, seq):
+        assert _solve(seq).engine_stats.shards == 0
 
 
 class TestSharding:
     def test_packages_are_never_split(self, seq, baseline):
         plan = baseline.plan
-        shards = shard_by_items(seq, 4, plan=plan)
+        shards = _shard_units(seq, plan, 4)
         # every plan unit appears exactly once, whole, in some shard
         flat = [spec for shard in shards for spec in shard]
         assert sorted(flat) == sorted(_plan_units(plan))
@@ -115,29 +119,22 @@ class TestSharding:
 
     def test_units_stay_in_plan_order_inside_a_shard(self, seq, baseline):
         order = {spec: i for i, spec in enumerate(_plan_units(baseline.plan))}
-        for shard in shard_by_items(seq, 3, plan=baseline.plan):
+        for shard in _shard_units(seq, baseline.plan, 3):
             ranks = [order[spec] for spec in shard]
             assert ranks == sorted(ranks)
 
-    def test_without_a_plan_every_item_is_a_singleton(self, seq):
-        shards = shard_by_items(seq, 2)
-        flat = sorted(spec for shard in shards for spec in shard)
-        assert flat == [("singleton", int(d)) for d in sorted(seq.items)]
-
     def test_deterministic(self, seq, baseline):
-        a = shard_by_items(seq, 5, plan=baseline.plan)
-        b = shard_by_items(seq, 5, plan=baseline.plan)
+        a = _shard_units(seq, baseline.plan, 5)
+        b = _shard_units(seq, baseline.plan, 5)
         assert a == b
 
     def test_balanced_within_lpt_bound(self, seq, baseline):
-        from repro.engine.parallel import _unit_sizes
-
         plan = baseline.plan
         units = _plan_units(plan)
         sizes = dict(zip(units, _unit_sizes(seq, units)))
         loads = sorted(
             sum(sizes[spec] for spec in shard)
-            for shard in shard_by_items(seq, 3, plan=plan)
+            for shard in _shard_units(seq, plan, 3)
         )
         perfect = sum(sizes.values()) / 3
         # LPT guarantees max load <= 4/3 OPT; OPT >= perfect split
@@ -238,12 +235,12 @@ class TestCheckpoint:
         assert first.reports == baseline.reports
 
         # a resumed run must not solve anything: poison the dispatcher
-        import repro.engine.sharding as sharding
+        import repro.engine.resilience as resilience
 
         def _boom(*a, **kw):
             raise AssertionError("resume must not re-dispatch solved shards")
 
-        monkeypatch.setattr(sharding, "dispatch_resilient", _boom)
+        monkeypatch.setattr(resilience, "dispatch_resilient", _boom)
         second = _solve(seq, shards=3, checkpoint=tmp_path, resume=True)
         assert second.total_cost == baseline.total_cost
         assert second.reports == baseline.reports
@@ -252,7 +249,6 @@ class TestCheckpoint:
         self, seq, baseline, tmp_path
     ):
         from repro.experiments.base import sweep_checkpoint
-        from repro.engine.sharding import SHARD_CHECKPOINT_ID
 
         _solve(seq, shards=3, checkpoint=tmp_path)
         ckpt_path = tmp_path / f"CHECKPOINT_{SHARD_CHECKPOINT_ID}.jsonl"
@@ -267,7 +263,7 @@ class TestCheckpoint:
 
     def test_resume_without_checkpoint_rejected(self, seq):
         with pytest.raises(ValueError, match="resume"):
-            _solve(seq, resume=True)
+            _solve(seq, shards=2, resume=True)
 
     def test_checkpoint_floats_round_trip_bit_exactly(
         self, seq, baseline, tmp_path
@@ -281,7 +277,29 @@ class TestCheckpoint:
 class TestApi:
     def test_bad_alpha_rejected(self, seq):
         with pytest.raises(ValueError, match="alpha"):
-            solve_dp_greedy_sharded(seq, _MODEL, theta=0.3, alpha=0.0)
+            solve_dp_greedy(seq, _MODEL, theta=0.3, alpha=0.0, shards=2)
+
+    def test_nonpositive_shards_rejected_even_with_nothing_pending(self, seq):
+        from repro.cache.model import RequestSequence
+
+        memo = SolverMemo()
+        _solve(seq, memo=memo)  # warm: every unit of the next solve hits
+        with pytest.raises(ValueError, match="shards"):
+            _solve(seq, memo=memo, shards=0)
+        with pytest.raises(ValueError, match="shards"):
+            _solve(RequestSequence([], num_servers=2), shards=-3)
+
+    def test_checkpointing_needs_shards(self, seq, tmp_path):
+        with pytest.raises(ValueError, match="shards"):
+            _solve(seq, checkpoint=tmp_path)
+        with pytest.raises(ValueError, match="shards"):
+            _solve(seq, resume=True)
+        assert not list(tmp_path.iterdir())
+
+    def test_checkpoint_rejects_schedules(self, seq, tmp_path):
+        # the codec drops schedules: a resumed run would silently lose them
+        with pytest.raises(ValueError, match="schedules"):
+            _solve(seq, shards=2, checkpoint=tmp_path, build_schedules=True)
 
     def test_bad_dp_backend_rejected(self, seq):
         with pytest.raises(ValueError, match="backend"):

@@ -2,7 +2,7 @@
 
 The contract of the telemetry plane is strictly observe-only: attaching
 a hub to any solve path -- classic serial, engine pools, the resilient
-dispatcher, the sharded driver -- must leave costs bit-identical to the
+dispatcher, sharded solves -- must leave costs bit-identical to the
 telemetry-off run, while the hub ends up holding real latency samples,
 progress counts, and (for process pools) worker resource stats.
 """
@@ -17,7 +17,6 @@ from repro.cache.model import CostModel
 from repro.core.dp_greedy import solve_dp_greedy
 from repro.engine.chaos import FaultPlan
 from repro.engine.resilience import ResilienceConfig
-from repro.engine.sharding import solve_dp_greedy_sharded
 from repro.obs.telemetry import (
     H_DISPATCH,
     H_SOLVE,
@@ -80,7 +79,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("shards", [1, 3])
     def test_sharded_with_telemetry(self, seq, baseline, shards):
         tele = _hub()
-        got = solve_dp_greedy_sharded(
+        got = solve_dp_greedy(
             seq, _MODEL, theta=THETA, alpha=ALPHA, shards=shards,
             telemetry=tele,
         )
