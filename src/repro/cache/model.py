@@ -252,12 +252,13 @@ class RequestSequence:
 
         Each surviving request keeps only ``{item}`` as its item set, i.e.
         this is the per-item view on which the single-item optimal off-line
-        algorithm of [6] operates.
+        algorithm of [6] operates.  Read off :meth:`item_view`.
         """
+        view = self.item_view(item)
+        only = frozenset((item,))
         reqs = tuple(
-            Request(r.server, r.time, frozenset((item,)))
-            for r in self.requests
-            if item in r.items
+            Request(s, t, only)
+            for s, t in zip(view.servers.tolist(), view.times.tolist())
         )
         return RequestSequence(reqs, self.num_servers, self.origin)
 
@@ -269,31 +270,23 @@ class RequestSequence:
         ``mode='any'`` keeps requests containing at least one item of the
         group (the Package_Served view of Section VI-c); ``mode='all'``
         keeps only co-occurrence requests containing every item of the group
-        (the package view of Phase 2); ``mode='exactly-one'`` keeps requests
-        containing exactly one item of the group (the greedy single-sided
-        view of Observation 2).
+        (the package view of Phase 2).
 
         Surviving requests keep the intersection of their item set with the
-        group.
+        group.  Only the rows the item index names are visited.
         """
         group = frozenset(items)
         if not group:
             raise ValueError("item group must be non-empty")
+        if mode not in ("any", "all"):
+            raise ValueError(f"unknown mode {mode!r}")
+        rows = np.unique(np.concatenate([self.item_indices(d) for d in group]))
         keep: List[Request] = []
-        for r in self.requests:
+        for i in rows.tolist():
+            r = self[i]
             inter = r.items & group
-            if not inter:
+            if mode == "all" and inter != group:
                 continue
-            if mode == "any":
-                pass
-            elif mode == "all":
-                if inter != group:
-                    continue
-            elif mode == "exactly-one":
-                if len(inter) != 1:
-                    continue
-            else:
-                raise ValueError(f"unknown mode {mode!r}")
             keep.append(Request(r.server, r.time, inter))
         return RequestSequence(tuple(keep), self.num_servers, self.origin)
 

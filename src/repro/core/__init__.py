@@ -16,6 +16,7 @@ from .baselines import (
 from .dp_greedy import (
     DPGreedyResult,
     GroupReport,
+    prev_same_server,
     serve_package,
     serve_singleton,
     solve_dp_greedy,
@@ -30,6 +31,7 @@ __all__ = [
     "solve_dp_greedy",
     "serve_package",
     "serve_singleton",
+    "prev_same_server",
     "BaselineResult",
     "solve_optimal_nonpacking",
     "solve_package_served",

@@ -33,12 +33,13 @@ The reported metric is ``ave_cost`` -- the total cost divided by
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Tuple
+
+import numpy as np
 
 from ..cache.model import (
     CostModel,
-    Request,
     RequestSequence,
     SingleItemView,
     package_rate,
@@ -60,6 +61,7 @@ from ..correlation.packing import (
 __all__ = [
     "GroupReport",
     "SingleSidedDecision",
+    "prev_same_server",
     "single_sided_decisions",
     "DPGreedyResult",
     "solve_dp_greedy",
@@ -223,6 +225,24 @@ class SingleSidedDecision:
     prev_any: Tuple[int, float]  # (server, time) of the last node with item
 
 
+def prev_same_server(servers: np.ndarray) -> np.ndarray:
+    """``p(i)`` of Definition 1 for a whole trajectory, vectorised.
+
+    A stable lexsort by ``(server, position)`` lines every server's
+    requests up consecutively in original time order; the predecessor of
+    each element inside its server-run is exactly ``p(i)``.  ``-1`` marks
+    requests with no same-server predecessor.
+    """
+    n = servers.size
+    prev = np.full(n, -1, dtype=np.int64)
+    if n == 0:
+        return prev
+    order = np.lexsort((np.arange(n), servers))
+    same = servers[order][1:] == servers[order][:-1]
+    prev[order[1:][same]] = order[:-1][same]
+    return prev
+
+
 def single_sided_decisions(
     seq: RequestSequence,
     package: FrozenSet[int],
@@ -232,50 +252,61 @@ def single_sided_decisions(
     """Yield the Observation-2 greedy decisions for ``package``'s
     single-sided requests, in time order.
 
-    The virtual origin node carries every item; package nodes update the
-    per-item source bookkeeping but are not charged here (they belong to
-    the package DP).
+    Everything is read off the sequence's item index (Section V): each
+    packed item's carrying nodes are :meth:`item_indices`, ``p(i)`` is
+    :func:`prev_same_server` over their servers, and the co-occurrence
+    rows are the positions every member's index contains.  Co-occurrence
+    nodes are valid cache/transfer sources (Observation 1) but are not
+    charged here -- they belong to the package DP.  The virtual origin
+    node ``(origin, t=0)`` carries every item.  Nodes carrying several
+    (but not all) members yield one decision per item, in item order.
     """
     mu, lam = model.mu, model.lam
     ship_cost = package_rate(len(package), alpha) * lam
-    nodes = seq.restrict_to_items(package, mode="any")
-
-    last_any: Dict[int, Tuple[int, float]] = {}
-    last_same: Dict[Tuple[int, int], float] = {}
     origin = seq.origin
-    for d in package:
-        last_any[d] = (origin, 0.0)
-        last_same[(d, origin)] = 0.0
+    servers, times = seq.servers_array, seq.times_array
+    members = sorted(package)
+    index = {d: seq.item_indices(d) for d in members}
+    co_rows = index[members[0]]
+    for d in members[1:]:
+        co_rows = np.intersect1d(co_rows, index[d], assume_unique=True)
 
-    for r in nodes:
-        if r.items == package:
-            for d in package:
-                last_any[d] = (r.server, r.time)
-                last_same[(d, r.server)] = r.time
-            continue
-        for d in sorted(r.items):  # strict subset of the package
-            t_p = last_same.get((d, r.server))
-            cache_cost = mu * (r.time - t_p) if t_p is not None else float("inf")
-            prev = last_any[d]
-            transfer_cost = mu * (r.time - prev[1]) + lam
-            best = min(cache_cost, transfer_cost, ship_cost)
-            if best == cache_cost:
-                mode = MODE_CACHE
-            elif best == transfer_cost:
-                mode = MODE_TRANSFER
+    nodes = []  # (row, item, server, time, prev_same_time, prev_any)
+    for d in members:
+        rows = index[d]
+        srv, tim = servers[rows], times[rows]
+        same = prev_same_server(srv).tolist()
+        srv, tim = srv.tolist(), tim.tolist()
+        single = ~np.isin(rows, co_rows, assume_unique=True)
+        for j, row in zip(np.flatnonzero(single).tolist(), rows[single].tolist()):
+            p = same[j]
+            if p >= 0:
+                t_p = tim[p]
             else:
-                mode = MODE_PACKAGE
-            yield SingleSidedDecision(
-                item=d,
-                server=r.server,
-                time=r.time,
-                mode=mode,
-                cost=best,
-                prev_same_time=t_p,
-                prev_any=prev,
-            )
-            last_any[d] = (r.server, r.time)
-            last_same[(d, r.server)] = r.time
+                t_p = 0.0 if srv[j] == origin else None
+            prev = (srv[j - 1], tim[j - 1]) if j else (origin, 0.0)
+            nodes.append((row, d, srv[j], tim[j], t_p, prev))
+    nodes.sort(key=lambda node: node[:2])
+
+    for _, d, server, time, t_p, prev in nodes:
+        cache_cost = mu * (time - t_p) if t_p is not None else float("inf")
+        transfer_cost = mu * (time - prev[1]) + lam
+        best = min(cache_cost, transfer_cost, ship_cost)
+        if best == cache_cost:
+            mode = MODE_CACHE
+        elif best == transfer_cost:
+            mode = MODE_TRANSFER
+        else:
+            mode = MODE_PACKAGE
+        yield SingleSidedDecision(
+            item=d,
+            server=server,
+            time=time,
+            mode=mode,
+            cost=best,
+            prev_same_time=t_p,
+            prev_any=prev,
+        )
 
 
 def serve_package(
@@ -511,6 +542,14 @@ def solve_dp_greedy(
     # fail fast on corrupt inputs, with request indices in the message,
     # rather than deep inside a DP recurrence
     seq.validate()
+    if len(seq) and not seq.times_array[0] > 0:
+        # t=0 is the initial placement instant: the DP rejects it, and
+        # the greedy's origin cache term mu * t would collapse to zero
+        r = seq[0]
+        raise ValueError(
+            f"request[0] (server {r.server}, t={r.time!r}): "
+            "request times must be strictly positive"
+        )
     observe = obs is not None
     timed = obs.timers.time if observe else _null_timer
     span_mark = tracer.mark() if tracer is not None else 0

@@ -1,19 +1,15 @@
-"""Efficient implementation structures of Section V (pre-scan + service
-pass) plus the parallel Phase-2 execution engine, solver memo, and the
-fault-tolerant dispatch layer (resilience + chaos injection)."""
+"""The O(mn) pre-scan index of Section V plus the parallel Phase-2
+execution engine, solver memo, and the fault-tolerant dispatch layer
+(resilience + chaos injection)."""
 
 from .chaos import ChaosError, FaultPlan, chaos_from_env
 from .memo import SolverMemo, fingerprint_view, get_default_memo
 from .parallel import EngineStats, ShardResult, serve_plan
 from .prescan import PreScan
 from .resilience import ResilienceConfig, dispatch_resilient
-from .service import greedy_service_pass, package_service_pass, prev_same_server
 
 __all__ = [
     "PreScan",
-    "greedy_service_pass",
-    "package_service_pass",
-    "prev_same_server",
     "SolverMemo",
     "fingerprint_view",
     "get_default_memo",

@@ -17,11 +17,11 @@ measurable:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Sequence
+from typing import FrozenSet, Optional, Sequence
 
 from ..cache.model import CostModel, RequestSequence, package_rate
 from ..core.baselines import solve_optimal_nonpacking, solve_package_served
-from ..core.dp_greedy import solve_dp_greedy
+from ..core.dp_greedy import single_sided_decisions, solve_dp_greedy
 from ..trace.workload import correlated_pair_sequence, zipf_item_workload
 from .base import ExperimentResult, record_engine_stats, sweep_memo
 
@@ -133,9 +133,10 @@ def run_option_ablation(
 ) -> ExperimentResult:
     """Disable each Observation-2 greedy option and measure the damage.
 
-    Implemented by re-running the single-sided pass with a restricted
-    option set (the package DP part is identical across variants, so the
-    delta isolates the greedy choice rule).
+    Implemented by re-pricing Phase 2's single-sided decisions
+    (:func:`~repro.core.dp_greedy.single_sided_decisions`) with a
+    restricted option set (the package DP part is identical across
+    variants, so the delta isolates the greedy choice rule).
     """
     model = model or CostModel(mu=3.0, lam=3.0)
     mu, lam = model.mu, model.lam
@@ -157,32 +158,20 @@ def run_option_ablation(
         n_requests, num_servers, jaccard, seed=seed, hotspot_skew=0.15
     )
     pkg = frozenset((1, 2))
-    nodes = seq.restrict_to_items(pkg, mode="any")
 
     def greedy_pass(alpha: float, options: FrozenSet[str]) -> float:
-        ship = package_rate(2, alpha) * lam
-        last_any: Dict[int, tuple] = {d: (seq.origin, 0.0) for d in (1, 2)}
-        last_same: Dict[tuple, float] = {(d, seq.origin): 0.0 for d in (1, 2)}
+        # re-price each decision's candidates with only ``options`` enabled
+        ship = package_rate(len(pkg), alpha) * lam
         total = 0.0
-        for r in nodes:
-            if r.items == pkg:
-                for d in pkg:
-                    last_any[d] = (r.server, r.time)
-                    last_same[(d, r.server)] = r.time
-                continue
-            for d in r.items:
-                cands = []
-                t_p = last_same.get((d, r.server))
-                if "cache" in options and t_p is not None:
-                    cands.append(mu * (r.time - t_p))
-                if "transfer" in options:
-                    _ps, prev_t = last_any[d]
-                    cands.append(mu * (r.time - prev_t) + lam)
-                if "package" in options:
-                    cands.append(ship)
-                total += min(cands)
-                last_any[d] = (r.server, r.time)
-                last_same[(d, r.server)] = r.time
+        for dec in single_sided_decisions(seq, pkg, model, alpha):
+            cands = []
+            if "cache" in options and dec.prev_same_time is not None:
+                cands.append(mu * (dec.time - dec.prev_same_time))
+            if "transfer" in options:
+                cands.append(mu * (dec.time - dec.prev_any[1]) + lam)
+            if "package" in options:
+                cands.append(ship)
+            total += min(cands)
         return total
 
     variants = {

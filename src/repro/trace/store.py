@@ -54,7 +54,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -145,8 +145,9 @@ class StoreSequence(RequestSequence):
     ``item_view`` / ``group_view`` / ``item_indices`` /
     ``item_event_counts``) serve zero-copy slices of the store's mmap
     columns; the tuple-of-:class:`Request` surface (iteration, indexing,
-    ``restrict_to_*``) materialises Python objects lazily and only for
-    the rows actually touched.  Pickling ships the store path, not the
+    and the inherited ``restrict_to_*`` projections, which read the item
+    index) materialises Python objects lazily and only for the rows
+    actually touched.  Pickling ships the store path, not the
     data -- pool workers re-open the mmap on their side.
     """
 
@@ -270,48 +271,6 @@ class StoreSequence(RequestSequence):
         return int(len(self._store.item_ids))
 
     # -- projections -----------------------------------------------------
-    def restrict_to_item(self, item: int) -> RequestSequence:
-        entry = self._item_projections().get(int(item))
-        if entry is None:
-            reqs: Tuple[Request, ...] = ()
-        else:
-            _, servers, times = entry
-            only = frozenset((int(item),))
-            reqs = tuple(
-                Request(int(s), float(t), only)
-                for s, t in zip(servers.tolist(), times.tolist())
-            )
-        return RequestSequence(reqs, self.num_servers, self.origin)
-
-    def restrict_to_items(
-        self, items: Iterable[int], mode: str = "any"
-    ) -> RequestSequence:
-        group = frozenset(int(d) for d in items)
-        if not group:
-            raise ValueError("item group must be non-empty")
-        if mode not in ("any", "all", "exactly-one"):
-            raise ValueError(f"unknown mode {mode!r}")
-        st = self._store
-        chunks = [self.item_indices(d) for d in sorted(group)]
-        rows = (
-            np.unique(np.concatenate(chunks)) if chunks else np.empty(0, np.int64)
-        )
-        keep: List[Request] = []
-        offs = st.item_offsets
-        for i in rows.tolist():
-            row_items = st.item_ids[int(offs[i]) : int(offs[i + 1])]
-            inter = group.intersection(int(d) for d in row_items)
-            if not inter:  # pragma: no cover - rows come from the index
-                continue
-            if mode == "all" and inter != group:
-                continue
-            if mode == "exactly-one" and len(inter) != 1:
-                continue
-            keep.append(
-                Request(int(st.servers[i]), float(st.times[i]), frozenset(inter))
-            )
-        return RequestSequence(tuple(keep), self.num_servers, self.origin)
-
     def single_item_view(self) -> SingleItemView:
         st = self._store
         if len(st.item_ids) != st.num_requests:

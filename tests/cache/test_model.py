@@ -123,9 +123,6 @@ class TestRequestSequence:
             1.0, 2.0, 3.0, 4.0,
         ]
         assert [r.time for r in seq.restrict_to_items({1, 2}, "all")] == [1.0, 4.0]
-        assert [r.time for r in seq.restrict_to_items({1, 2}, "exactly-one")] == [
-            2.0, 3.0,
-        ]
 
     def test_restrict_keeps_intersection_only(self):
         seq = RequestSequence([(0, 1.0, {1, 2, 3})], num_servers=1)

@@ -99,6 +99,10 @@ class TestServingUnits:
         with pytest.raises(ValueError, match="two items"):
             serve_package(example, frozenset({1}), unit_model, alpha=0.8)
 
+    def test_running_example_single_sided_total(self, example, unit_model):
+        rep = serve_package(example, frozenset({1, 2}), unit_model, alpha=0.8)
+        assert rep.single_sided_cost == pytest.approx(3.1 + 2.9)
+
     def test_serve_package_counts(self, example, unit_model):
         rep = serve_package(example, frozenset({1, 2}), unit_model, alpha=0.8)
         assert rep.num_cooccurrence == 3
@@ -146,6 +150,32 @@ class TestParameterValidation:
         )
         assert res.plan.packages == (frozenset({1, 2, 3}),)
         assert res.total_cost > 0
+
+
+class TestStrictlyPositiveTimes:
+    """t=0 is the initial placement instant: a request there is corrupt
+    input, rejected up front rather than retried as a worker fault."""
+
+    SEQ = [(0, 0.0, {1, 2}), (1, 1.0, {1}), (0, 2.0, {2}), (1, 3.0, {3})]
+
+    def test_zero_time_rejected(self, unit_model):
+        from repro.engine.resilience import ResilienceConfig
+
+        seq = RequestSequence(self.SEQ, num_servers=2)
+        for resilience in (None, ResilienceConfig()):
+            with pytest.raises(ValueError, match=r"request\[0\].*strictly positive"):
+                solve_dp_greedy(
+                    seq, unit_model, theta=0.1, alpha=0.8, resilience=resilience
+                )
+
+    def test_zero_time_rejected_on_store(self, unit_model, tmp_path):
+        from repro.trace.store import TraceStore, write_store
+
+        seq = TraceStore.open(
+            write_store(RequestSequence(self.SEQ, num_servers=2), tmp_path / "s")
+        )
+        with pytest.raises(ValueError, match=r"request\[0\].*strictly positive"):
+            solve_dp_greedy(seq, unit_model, theta=0.1, alpha=0.8)
 
 
 class TestProperties:

@@ -1,100 +1,37 @@
-"""Tests pinning the pre-scan service pass to the reference solvers."""
+"""Tests pinning the Section-V service-pass guards on the solvers that carry
+them: a single item is served by :func:`solve_greedy`, a package's
+single-sided requests by :func:`serve_package`."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
 
 from repro.cache.greedy import solve_greedy
-from repro.cache.model import CostModel
+from repro.cache.model import RequestSequence
 from repro.core.dp_greedy import serve_package
-from repro.engine.service import greedy_service_pass, package_service_pass
 from repro.experiments.running_example import running_example_sequence
 from repro.trace.workload import correlated_pair_sequence
 
-from ..conftest import cost_models, multi_item_sequences, single_item_views
-
 
 class TestGreedyServicePass:
-    @settings(max_examples=100, deadline=None)
-    @given(v=single_item_views(max_requests=20, max_servers=5), model=cost_models())
-    def test_matches_reference_greedy(self, v, model):
-        ref = solve_greedy(v, model, build_schedule=False).cost
-        assert greedy_service_pass(v, model) == pytest.approx(ref)
-
     def test_empty(self, unit_model):
-        from repro.cache.model import SingleItemView
-
-        v = SingleItemView(servers=(), times=(), num_servers=2, origin=0)
-        assert greedy_service_pass(v, unit_model) == 0.0
-
-    def test_empty_short_circuits_before_any_indexing(self, unit_model):
-        # regression: the pass used to build its server index before
-        # noticing the view was empty; an absent item must cost 0.0
-        # without touching any per-request machinery
-        seq = running_example_sequence()
-        view = seq.restrict_to_item(item=999)
+        # an item absent from the sequence projects to an empty view,
+        # which costs 0.0
+        view = running_example_sequence().restrict_to_item(item=999)
         assert view.times == ()
-        assert greedy_service_pass(view, unit_model) == 0.0
+        assert solve_greedy(view, unit_model, build_schedule=False).cost == 0.0
 
     def test_zero_time_rejected(self, unit_model):
-        from repro.cache.model import SingleItemView
-
-        v = SingleItemView(servers=(0,), times=(0.0,), num_servers=1, origin=0)
+        # the origin cache term mu * t collapses to zero at t = 0, so a
+        # projected view carrying such a request must be refused
+        seq = RequestSequence([(0, 0.0, {1}), (1, 1.0, {1})], num_servers=2)
+        view = seq.restrict_to_item(item=1)
         with pytest.raises(ValueError, match="strictly positive"):
-            greedy_service_pass(v, unit_model)
+            solve_greedy(view, unit_model)
 
 
 class TestPackageServicePass:
-    def test_running_example_single_sided_total(self, unit_model):
-        seq = running_example_sequence()
-        total = package_service_pass(seq, frozenset({1, 2}), unit_model, 0.8)
-        assert total == pytest.approx(3.1 + 2.9)
-
-    def test_matches_serve_package_on_pair_workloads(self, unit_model):
-        for j in (0.1, 0.4, 0.7):
-            seq = correlated_pair_sequence(80, 6, j, seed=5)
-            ref = serve_package(
-                seq, frozenset({1, 2}), unit_model, 0.8
-            ).single_sided_cost
-            got = package_service_pass(seq, frozenset({1, 2}), unit_model, 0.8)
-            assert got == pytest.approx(ref)
-
-    @settings(max_examples=40, deadline=None)
-    @given(seq=multi_item_sequences(max_items=3), model=cost_models())
-    def test_matches_serve_package_property(self, seq, model):
-        items = sorted(seq.items)
-        if len(items) < 2:
-            return
-        pkg = frozenset(items[:2])
-        ref = serve_package(seq, pkg, model, 0.6).single_sided_cost
-        got = package_service_pass(seq, pkg, model, 0.6)
-        assert got == pytest.approx(ref)
-
     def test_rejects_singleton_package(self, unit_model):
         seq = correlated_pair_sequence(10, 3, 0.5, seed=1)
         with pytest.raises(ValueError, match="two items"):
-            package_service_pass(seq, frozenset({1}), unit_model, 0.8)
-
-    def test_zero_time_rejected(self, unit_model):
-        # regression: greedy_service_pass guarded against t <= 0 but the
-        # package pass silently mis-costed it (the origin cache term
-        # mu * t_i collapses to zero at t = 0)
-        from repro.cache.model import RequestSequence
-
-        seq = RequestSequence(
-            [(0, 0.0, {1, 2}), (1, 1.0, {1}), (0, 2.0, {2})], num_servers=2
-        )
-        with pytest.raises(ValueError, match="strictly positive"):
-            package_service_pass(seq, frozenset({1, 2}), unit_model, 0.8)
-
-    def test_zero_time_outside_package_is_fine(self, unit_model):
-        # the guard applies to the package's carrying nodes, not to
-        # unrelated requests of the wider sequence
-        from repro.cache.model import RequestSequence
-
-        seq = RequestSequence(
-            [(0, 0.0, {9}), (0, 1.0, {1, 2}), (1, 2.0, {1})], num_servers=2
-        )
-        total = package_service_pass(seq, frozenset({1, 2}), unit_model, 0.8)
-        assert total > 0.0
+            serve_package(seq, frozenset({1}), unit_model, 0.8)

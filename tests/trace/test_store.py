@@ -270,7 +270,7 @@ class TestFacade:
         items = sorted(seq.items)
         d = items[0]
         assert sseq.restrict_to_item(d).requests == seq.restrict_to_item(d).requests
-        for mode in ("any", "all", "exactly-one"):
+        for mode in ("any", "all"):
             got = sseq.restrict_to_items(items[:2], mode=mode)
             ref = seq.restrict_to_items(items[:2], mode=mode)
             assert got.requests == ref.requests
