@@ -623,6 +623,10 @@ def optimal_cost(
         raise ValueError(f"unknown DP backend {backend!r}")
     if isinstance(view, RequestSequence):
         view = view.single_item_view()
+    if len(view) == 0:
+        # as in solve_optimal: an empty trajectory is free on every
+        # backend and never asks the compiled kernels (no fallback noted)
+        return 0.0
     if backend == "compiled":
         from . import compiled_dp
 

@@ -7,8 +7,10 @@ item pairs whose similarity exceeds the threshold ``theta``.
 Phase 2 serves each serving unit:
 
 * a **singleton** item is served over its own sub-sequence by the optimal
-  off-line single-item algorithm (the substrate [6],
-  :func:`repro.cache.optimal_dp.solve_optimal`);
+  off-line single-item algorithm (the substrate [6]: priced by
+  :func:`repro.cache.optimal_dp.optimal_cost`, solved with its decision
+  path by :func:`repro.cache.optimal_dp.solve_optimal` when a schedule or
+  the cost ledger needs it);
 * a **package** ``{d_1, d_2}`` splits its requests into *co-occurrence*
   nodes (both items) and *single-sided* nodes (exactly one).  The
   co-occurrence nodes are served by the optimal algorithm run at package
@@ -44,7 +46,7 @@ from ..cache.model import (
     SingleItemView,
     package_rate,
 )
-from ..cache.optimal_dp import attribute_cost, solve_optimal
+from ..cache.optimal_dp import attribute_cost, optimal_cost, solve_optimal
 from ..cache.schedule import Schedule
 from ..obs.tracing import maybe_span
 from ..correlation.jaccard import (
@@ -151,6 +153,52 @@ class DPGreedyResult:
         return out
 
 
+def _price_unit(
+    view: "RequestSequence | SingleItemView",
+    model: CostModel,
+    rate: float,
+    *,
+    build_schedule: bool,
+    attribute: bool,
+    dp_cost: Optional[float],
+    dp_attribution: Optional[Tuple[Tuple[float, str, float], ...]],
+    dp_backend: str,
+) -> Tuple[float, Optional[Schedule], Optional[Tuple[Tuple[float, str, float], ...]]]:
+    """``(cost, schedule, attribution)`` of one unit's DP trajectory at
+    ``rate``.
+
+    An injected ``dp_cost`` (memo hit or batch-solved) skips the DP.
+    Otherwise only a schedule or a ledger attribution reads the decision
+    path, so the default runs the cost-only sweep
+    (:func:`~repro.cache.optimal_dp.optimal_cost`, ``O(m)`` space) and
+    the path-tracking :func:`~repro.cache.optimal_dp.solve_optimal` runs
+    only under ``build_schedule``/``attribute``.  Costs are bit-identical
+    either way.
+    """
+    if dp_cost is not None:
+        if build_schedule:
+            raise ValueError("dp_cost injection is cost-only")
+        if attribute and dp_attribution is None:
+            raise ValueError(
+                "attribution requested but the injected dp_cost carries none"
+            )
+        return dp_cost, None, dp_attribution if attribute else None
+    if not (build_schedule or attribute):
+        cost = optimal_cost(view, model, rate_multiplier=rate, backend=dp_backend)
+        return cost, None, None
+    res = solve_optimal(
+        view,
+        model,
+        build_schedule=build_schedule,
+        rate_multiplier=rate,
+        backend=dp_backend,
+    )
+    attribution = (
+        attribute_cost(view, model, res, rate_multiplier=rate) if attribute else None
+    )
+    return res.cost, res.schedule, attribution
+
+
 def serve_singleton(
     seq: RequestSequence,
     item: int,
@@ -177,24 +225,25 @@ def serve_singleton(
     supplied -- the memo stores both together).  ``dp_backend`` picks
     the solver backend
     (``"sparse"``/``"dense"``/``"batched"``/``"compiled"``/``"auto"``).
+
+    Without ``build_schedule`` or ``attribute`` the item is priced by the
+    cost-only sweep (:func:`~repro.cache.optimal_dp.optimal_cost`,
+    ``O(m)`` live state); only those two flags make the DP keep the
+    decision history their schedule / ledger is read from.  The cost is
+    bit-identical either way.
     """
     if sub is None:
         sub = seq.item_view(item)
-    if dp_cost is not None:
-        if build_schedule:
-            raise ValueError("dp_cost injection is cost-only")
-        if attribute and dp_attribution is None:
-            raise ValueError(
-                "attribution requested but the injected dp_cost carries none"
-            )
-        cost, schedule = dp_cost, None
-        attribution = dp_attribution if attribute else None
-    else:
-        res = solve_optimal(
-            sub, model, build_schedule=build_schedule, backend=dp_backend
-        )
-        cost, schedule = res.cost, res.schedule
-        attribution = attribute_cost(sub, model, res) if attribute else None
+    cost, schedule, attribution = _price_unit(
+        sub,
+        model,
+        1.0,
+        build_schedule=build_schedule,
+        attribute=attribute,
+        dp_cost=dp_cost,
+        dp_attribution=dp_attribution,
+        dp_backend=dp_backend,
+    )
     return GroupReport(
         group=frozenset((item,)),
         package_cost=cost,
@@ -330,6 +379,10 @@ def serve_package(
     non-empty subset are served greedily per item with the package-ship
     option costing ``alpha * k * lam``.
 
+    The co-occurrence DP is priced by the cost-only sweep
+    (:func:`~repro.cache.optimal_dp.optimal_cost`, ``O(m)`` live state)
+    unless ``build_schedule`` or ``attribute`` asks for the decision
+    path; the cost is bit-identical either way.
     ``dp_cost`` injects a memoised co-occurrence DP result (cost-only:
     incompatible with ``build_schedule=True``); the single-sided greedy
     pass always runs, it is cheap and carries the per-node mode ledger.
@@ -355,41 +408,27 @@ def serve_package(
 
     if co_view is None:
         co_view = seq.group_view(package)
-    if dp_cost is not None:
-        if build_schedule:
-            raise ValueError("dp_cost injection is cost-only")
-        if attribute and dp_attribution is None:
-            raise ValueError(
-                "attribution requested but the injected dp_cost carries none"
-            )
-        dp_total, dp_schedule = dp_cost, None
-        attribution = dp_attribution if attribute else None
+    # The package is one pseudo-item: project the co-occurrence nodes to a
+    # bare (server, time) trajectory and price it at package rate.
+    if isinstance(co_view, SingleItemView):
+        pseudo = co_view
     else:
-        # The package is one pseudo-item: project the co-occurrence nodes
-        # to a bare (server, time) trajectory and run the optimal DP at
-        # package rate.
-        if isinstance(co_view, SingleItemView):
-            pseudo = co_view
-        else:
-            pseudo = SingleItemView(
-                servers=co_view.servers,
-                times=co_view.times,
-                num_servers=co_view.num_servers,
-                origin=co_view.origin,
-            )
-        dp = solve_optimal(
-            pseudo,
-            model,
-            build_schedule=build_schedule,
-            rate_multiplier=rate,
-            backend=dp_backend,
+        pseudo = SingleItemView(
+            servers=co_view.servers,
+            times=co_view.times,
+            num_servers=co_view.num_servers,
+            origin=co_view.origin,
         )
-        dp_total, dp_schedule = dp.cost, dp.schedule
-        attribution = (
-            attribute_cost(pseudo, model, dp, rate_multiplier=rate)
-            if attribute
-            else None
-        )
+    dp_total, dp_schedule, attribution = _price_unit(
+        pseudo,
+        model,
+        rate,
+        build_schedule=build_schedule,
+        attribute=attribute,
+        dp_cost=dp_cost,
+        dp_attribution=dp_attribution,
+        dp_backend=dp_backend,
+    )
 
     # --- greedy pass over partial nodes (Observation 2) ----------------
     single_cost = 0.0
@@ -461,6 +500,13 @@ def solve_dp_greedy(
         skipped and the plan is served as-is (used by the robustness
         study, which plans on a *predicted* trajectory and serves the
         true one).  The plan's items must cover exactly ``seq``'s items.
+    build_schedules:
+        When true, every report carries its unit's DP schedule
+        (``package_schedule``).  By default Phase 2 prices each serving
+        unit with the cost-only DP sweep (``O(m)`` live state, no
+        decision history); only ``build_schedules=True`` or ``obs=``
+        (which needs the per-request attribution) run the path-tracking
+        solve.  Costs are bit-identical on every route.
     parallel / workers / memo / pool:
         Phase-2 execution engine knobs
         (:func:`repro.engine.parallel.serve_plan`, which every solve

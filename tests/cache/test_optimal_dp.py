@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.brute_force import brute_force_cost
-from repro.cache.model import CostModel, RequestSequence, SingleItemView
+from repro.cache.model import CostModel, RequestSequence, SingleItemView, package_rate
 from repro.cache.optimal_dp import optimal_cost, solve_optimal
 from repro.cache.schedule import validate_schedule
 
@@ -124,6 +125,28 @@ class TestAgainstOracle:
         c1 = optimal_cost(v, model)
         c2 = optimal_cost(v, model.scaled(2.5))
         assert c2 == pytest.approx(2.5 * c1)
+
+
+class TestCostOnlyParity:
+    """Phase 2 prices units with ``optimal_cost`` and only runs the
+    path-tracking solve for schedules or attribution, so the two must
+    agree exactly -- not approximately -- on every backend and at every
+    Table-II rate."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        v=single_item_views(max_requests=24, max_servers=5),
+        model=cost_models(),
+        backend=st.sampled_from(["sparse", "dense", "batched", "compiled"]),
+        alpha=st.sampled_from([0.3, 0.5, 0.8, 1.0]),
+        k=st.sampled_from([1, 2, 3]),
+    )
+    def test_full_solve_cost_equals_cost_only(self, v, model, backend, alpha, k):
+        r = package_rate(k, alpha)  # 1.0, 2*alpha, 3*alpha
+        full = solve_optimal(
+            v, model, build_schedule=False, rate_multiplier=r, backend=backend
+        )
+        assert full.cost == optimal_cost(v, model, rate_multiplier=r, backend=backend)
 
 
 class TestLargerDeterministic:

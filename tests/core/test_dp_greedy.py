@@ -5,11 +5,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from repro.cache import optimal_dp
 from repro.cache.model import CostModel, RequestSequence
 from repro.cache.schedule import validate_schedule
 from repro.core.baselines import solve_optimal_nonpacking
 from repro.core.dp_greedy import serve_package, serve_singleton, solve_dp_greedy
 from repro.experiments.running_example import running_example_sequence
+from repro.obs import RunObservation
+from repro.trace.workload import zipf_item_workload
 
 from ..conftest import cost_models, multi_item_sequences
 
@@ -273,3 +276,109 @@ class TestLargerGroups:
             packing="groups", max_group_size=4,
         )
         assert res.plan.packages == (frozenset({1, 2, 3, 4}),)
+
+
+class TestPhase2DecisionHistory:
+    """Phase 2 keeps DP decision history only for a consumer that reads
+    it: the default solve prices every unit with the cost-only sweep,
+    while schedules (``build_schedules=True``) and the cost ledger
+    (``obs=``) still take the path-tracking solve.  Pinned as a count of
+    path sweeps, not a timing."""
+
+    @pytest.fixture
+    def seq(self):
+        return zipf_item_workload(300, 6, 12, seed=20, cooccurrence=0.3)
+
+    @pytest.fixture
+    def path_sweeps(self, monkeypatch):
+        calls = []
+        real = optimal_dp._sparse_path_sweep
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimal_dp, "_sparse_path_sweep", counted)
+        return calls
+
+    def _cost_only(self, seq, model):
+        return solve_dp_greedy(seq, model, theta=0.3, alpha=0.8)
+
+    def test_default_solve_never_enters_path_sweep(self, seq, unit_model, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cost-only Phase 2 entered the path sweep")
+
+        monkeypatch.setattr(optimal_dp, "_sparse_path_sweep", refuse)
+        res = self._cost_only(seq, unit_model)
+        assert res.plan.packages and res.plan.singletons
+        for r in res.reports:
+            assert r.package_schedule is None and r.attribution is None
+        for d in res.plan.singletons:
+            serve_singleton(seq, d, unit_model)
+        for pkg in res.plan.packages:
+            serve_package(seq, pkg, unit_model, 0.8)
+
+    @pytest.mark.parametrize("consumer", ["schedules", "obs"])
+    def test_history_consumers_still_take_path_sweep(
+        self, seq, unit_model, path_sweeps, consumer
+    ):
+        ref = self._cost_only(seq, unit_model)
+        assert path_sweeps == []
+        obs = RunObservation() if consumer == "obs" else None
+        res = solve_dp_greedy(
+            seq, unit_model, theta=0.3, alpha=0.8,
+            build_schedules=consumer == "schedules", obs=obs,
+        )
+        # one path sweep per serving unit, packages and singletons alike
+        assert len(path_sweeps) == len(res.reports)
+        assert res.plan == ref.plan
+        kinds = set()
+        for got, want in zip(res.reports, ref.reports):
+            kinds.add(len(got.group) > 1)
+            assert got.group == want.group
+            assert got.package_cost == want.package_cost
+            assert got.total == want.total
+            if consumer == "schedules":
+                assert got.package_schedule is not None
+            else:
+                assert got.attribution is not None
+        assert kinds == {True, False}
+        assert res.total_cost == ref.total_cost
+        if obs is not None:
+            # finalize raises on any gap; the recorded error stays tiny
+            assert obs.reconciliation_error <= 1e-9
+
+    def test_compiled_fallbacks_per_unit_unchanged(self, seq, unit_model, monkeypatch):
+        from repro.cache import compiled_dp
+
+        monkeypatch.setenv("REPRO_NO_NUMBA", "1")
+        compiled_dp.reset()
+        try:
+            ref = self._cost_only(seq, unit_model)
+            for obs in (None, RunObservation()):
+                res = solve_dp_greedy(
+                    seq, unit_model, theta=0.3, alpha=0.8,
+                    dp_backend="compiled", obs=obs,
+                )
+                # one engine-level degradation per solve, whatever the route
+                assert res.engine_stats.compiled_fallbacks == 1
+                assert res.total_cost == ref.total_cost
+            # direct serves degrade once per unit, cost-only or not
+            for attribute in (False, True):
+                before = compiled_dp.fallback_count()
+                for r in ref.reports:
+                    if len(r.group) > 1:
+                        got = serve_package(
+                            seq, r.group, unit_model, 0.8,
+                            dp_backend="compiled", attribute=attribute,
+                        )
+                    else:
+                        (d,) = r.group
+                        got = serve_singleton(
+                            seq, d, unit_model,
+                            dp_backend="compiled", attribute=attribute,
+                        )
+                    assert got.total == r.total
+                assert compiled_dp.fallback_count() - before == len(ref.reports)
+        finally:
+            compiled_dp.reset()
